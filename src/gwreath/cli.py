@@ -13,19 +13,10 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .descent import express_in_x_basis, group_algebra_mul, x_basis
-from .errors import (
-    FormatError,
-    GroupAxiomError,
-    NotAChamberError,
-    NotInSpanError,
-    ParseError,
-    SizeLimitError,
-)
+from .errors import FormatError, SizeLimitError
 from .groups import group_from_spec
 from .invariant import invariant_mul, structure_constant_table
 from .limits import DEFAULT_LIMIT
-from .linear import LinearCombination
 from .parsing import (
     detect_kind,
     parse_colored_permutation,
@@ -111,17 +102,11 @@ def cmd_multiply(args) -> int:
             )
         kind = lhs_atom_kind
         if kind == "sigma":
-            rendered = render_combination(group, "sigma", invariant_mul(group, lhs, rhs))
+            product = invariant_mul(group, lhs, rhs)
         else:
-            expanded_l = LinearCombination()
-            for comp, coeff in lhs.items():
-                expanded_l = expanded_l + coeff * x_basis(group, comp, config.limit)
-            expanded_r = LinearCombination()
-            for comp, coeff in rhs.items():
-                expanded_r = expanded_r + coeff * x_basis(group, comp, config.limit)
-            product = group_algebra_mul(group, expanded_l, expanded_r)
-            coords = express_in_x_basis(group, config.n, product, config.limit)
-            rendered = render_combination(group, "x", coords)
+            # Theorem 1: X_a * X_b has the coordinates of sigma_b * sigma_a
+            product = invariant_mul(group, rhs, lhs)
+        rendered = render_combination(group, kind, product)
 
     if config.fmt == "json":
         payload = {
@@ -177,12 +162,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _add_common(sub, *, sampling: bool) -> None:
     sub.add_argument("--group", required=True,
                      help="group specifier: cyclic:<m> | symmetric:<m> | klein4 | file:<path>")
     sub.add_argument("--n", required=True, type=_positive_int,
                      help="size of the ground set {1..n}")
-    sub.add_argument("--limit", type=int, default=DEFAULT_LIMIT,
+    sub.add_argument("--limit", type=_non_negative_int, default=DEFAULT_LIMIT,
                      help=f"size-guard limit (default {DEFAULT_LIMIT}; 0 disables)")
     sub.add_argument("--out", help="write output to this file instead of stdout")
     if sampling:
@@ -208,8 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(mul, sampling=False)
     mul.add_argument("--format", choices=("json", "text"), default="text")
-    mul.add_argument("lhs")
-    mul.add_argument("rhs")
+    dash_note = "; write -- before the operands when one starts with '-'"
+    mul.add_argument("lhs", help="left operand" + dash_note)
+    mul.add_argument("rhs", help="right operand" + dash_note)
     mul.set_defaults(func=cmd_multiply)
 
     table = commands.add_parser(
@@ -239,19 +232,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FormatError, GroupAxiomError, NotAChamberError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NotInSpanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
+        # FormatError, ParseError, GroupAxiomError and NotAChamberError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,15 +3,21 @@
 Two bases, both indexed by colored compositions:
 
 * ``y_basis(comp)`` sums the elements whose descent composition is exactly
-  ``comp``; the supports partition the whole wreath product.
+  ``comp``; the supports (the descent fibers) partition the whole wreath
+  product.
 * ``x_basis(comp)`` sums the elements whose descent composition is a
   coarsening of ``comp``, i.e. X_comp = sum of Y_beta over beta that comp
   refines.  Inverting that by inclusion-exclusion recovers Y from X.
 
+``descent_fibers`` is the one pass over the wreath product; every X or Y
+vector is read off its fibers.
+
 ``sigma_to_x`` sends each sigma basis vector of the invariant algebra to the
-matching X vector.  ``verify_antihomomorphism`` sweeps the defining identity
-of that map: the image of sigma_a * sigma_b equals X_b * X_a, with the
-factors reversed.
+matching X vector.  That map reverses products (Theorem 1): the image of
+sigma_a * sigma_b is X_b * X_a, so the X coordinates of X_a * X_b are the
+sigma coordinates of sigma_b * sigma_a, which is how ``gwreath multiply``
+computes X products.  ``verify_antihomomorphism`` sweeps the identity
+against the group-algebra product, which stays the independent oracle.
 """
 
 from __future__ import annotations
@@ -44,42 +50,62 @@ from .invariant import sigma_product
 
 def descent_fibers(group, n: int, limit: int | None = DEFAULT_LIMIT) -> dict:
     """Map each composition to the tuple of elements with that descent
-    composition.  The fibers partition the wreath product."""
+    composition.  The fibers partition the wreath product; this is the one
+    place that enumerates it."""
     fibers: dict = {}
     for u in enumerate_wreath(group, n, limit):
         fibers.setdefault(descent_composition(u), []).append(u)
     return {comp: tuple(members) for comp, members in fibers.items()}
 
 
+def _fibers_of(group, comps, limit) -> dict:
+    """Validate ``comps`` and return the descent fibers at each of their totals."""
+    fibers: dict = {}
+    for comp in comps:
+        validate_composition(comp, group)
+    for n in {composition_total(comp) for comp in comps}:
+        fibers.update(descent_fibers(group, n, limit))
+    return fibers
+
+
+def _expand_x(fibers: dict, coords) -> LinearCombination:
+    """sum of coeff * X_comp over ``coords`` in the group algebra, where X_comp
+    is the union of the fibers of the coarsenings of comp."""
+    return LinearCombination(
+        (u, coeff)
+        for comp, coeff in coords.items()
+        for coarser in coarsenings(comp)
+        for u in fibers.get(coarser, ())
+    )
+
+
+def _y_to_x(y_coords) -> LinearCombination:
+    """X coordinates of sum of coeff * Y_comp over ``y_coords``, by
+    inclusion-exclusion: Y_c = sum over coarsenings b of c of
+    (-1)^(len(c) - len(b)) X_b."""
+    return LinearCombination(
+        (coarser, -coeff if (len(comp) - len(coarser)) % 2 else coeff)
+        for comp, coeff in y_coords.items()
+        for coarser in coarsenings(comp)
+    )
+
+
 def y_basis(group, comp: ColoredComposition,
             limit: int | None = DEFAULT_LIMIT) -> LinearCombination:
-    validate_composition(comp, group)
-    n = composition_total(comp)
-    return LinearCombination({
-        u: 1
-        for u in enumerate_wreath(group, n, limit)
-        if descent_composition(u) == comp
-    })
+    fibers = _fibers_of(group, [comp], limit)
+    return LinearCombination((u, 1) for u in fibers.get(comp, ()))
 
 
 def x_basis(group, comp: ColoredComposition,
             limit: int | None = DEFAULT_LIMIT) -> LinearCombination:
-    result = LinearCombination()
-    for coarser in coarsenings(comp):
-        result = result + y_basis(group, coarser, limit)
-    return result
+    return _expand_x(_fibers_of(group, [comp], limit), {comp: 1})
 
 
 def y_from_x(group, comp: ColoredComposition,
              limit: int | None = DEFAULT_LIMIT) -> LinearCombination:
     """Recover the Y vector by inclusion-exclusion over coarsenings; must
     agree with ``y_basis`` exactly."""
-    result = LinearCombination()
-    length = len(comp)
-    for coarser in coarsenings(comp):
-        sign = -1 if (length - len(coarser)) % 2 else 1
-        result = result + sign * x_basis(group, coarser, limit)
-    return result
+    return _expand_x(_fibers_of(group, [comp], limit), _y_to_x({comp: 1}))
 
 
 def group_algebra_mul(group, x: LinearCombination, y: LinearCombination) -> LinearCombination:
@@ -95,10 +121,7 @@ def group_algebra_mul(group, x: LinearCombination, y: LinearCombination) -> Line
 def sigma_to_x(group, x: LinearCombination,
                limit: int | None = DEFAULT_LIMIT) -> LinearCombination:
     """Linear extension of sigma_comp -> X_comp into the group algebra."""
-    result = LinearCombination()
-    for comp, coeff in x.items():
-        result = result + coeff * x_basis(group, comp, limit)
-    return result
+    return _expand_x(_fibers_of(group, list(x.keys()), limit), x)
 
 
 def express_in_x_basis(group, n: int, z: LinearCombination,
@@ -129,17 +152,7 @@ def express_in_x_basis(group, n: int, z: LinearCombination,
                 )
         if first:
             y_coords[comp] = first
-    x_coords: dict = {}
-    for comp, coeff in y_coords.items():
-        length = len(comp)
-        for coarser in coarsenings(comp):
-            sign = -1 if (length - len(coarser)) % 2 else 1
-            value = x_coords.get(coarser, 0) + sign * coeff
-            if value:
-                x_coords[coarser] = value
-            elif coarser in x_coords:
-                del x_coords[coarser]
-    return LinearCombination(x_coords)
+    return _y_to_x(y_coords)
 
 
 def sigma_act_on_chamber(group, comp: ColoredComposition, v: ColoredPermutation,
@@ -177,13 +190,7 @@ def verify_antihomomorphism(group, n: int, mode: str = "exhaustive",
         check_limit(len(comps) ** 2 * count_wreath(n, group.order), limit,
                     f"exhaustive anti-homomorphism sweep at n={n}, |G|={group.order}")
     fibers = descent_fibers(group, n, limit)
-    x_vectors = {}
-    for comp in comps:
-        terms: dict = {}
-        for coarser in coarsenings(comp):
-            for u in fibers.get(coarser, ()):
-                terms[u] = 1
-        x_vectors[comp] = LinearCombination(terms)
+    x_vectors = {comp: _expand_x(fibers, {comp: 1}) for comp in comps}
 
     if mode == "exhaustive":
         pairs = [(a, b) for a in comps for b in comps]
@@ -196,9 +203,11 @@ def verify_antihomomorphism(group, n: int, mode: str = "exhaustive",
 
     failures = []
     for a, b in pairs:
-        lhs = LinearCombination()
-        for comp, coeff in sigma_product(group, a, b).items():
-            lhs = lhs + coeff * x_vectors[comp]
+        lhs = LinearCombination(
+            (u, coeff * c)
+            for comp, coeff in sigma_product(group, a, b).items()
+            for u, c in x_vectors[comp].items()
+        )
         rhs = group_algebra_mul(group, x_vectors[b], x_vectors[a])
         if lhs != rhs:
             diff = lhs - rhs

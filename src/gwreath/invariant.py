@@ -184,11 +184,12 @@ def sigma_product_bruteforce(group, left: ColoredComposition,
 
 def invariant_mul(group, x: LinearCombination, y: LinearCombination) -> LinearCombination:
     """Bilinear extension of ``sigma_product`` to sigma-basis combinations."""
-    result = LinearCombination()
-    for left, a in x.items():
-        for right, b in y.items():
-            result = result + (a * b) * sigma_product(group, left, right)
-    return result
+    return LinearCombination(
+        (key, a * b * c)
+        for left, a in x.items()
+        for right, b in y.items()
+        for key, c in sigma_product(group, left, right).items()
+    )
 
 
 def sigma_vector(group, comp: ColoredComposition,

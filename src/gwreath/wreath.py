@@ -71,12 +71,6 @@ def descent_composition(u: ColoredPermutation) -> ColoredComposition:
         else:
             run_length += 1
     parts.append((run_length, u[-1][1]))
-    # minimality: no two adjacent parts could merge, because every cut sits
-    # at a value descent or a color change
-    boundary = 0
-    for size, _ in parts[:-1]:
-        boundary += size
-        assert u[boundary - 1][0] > u[boundary][0] or u[boundary - 1][1] != u[boundary][1]
     return tuple(parts)
 
 

@@ -247,8 +247,12 @@ def test_criterion_9_closure_in_x_basis():
                     rebuilt = rebuilt + coeff * vectors[comp]
                 if rebuilt != product:
                     failures.append((group.name, n, a, b, "coordinates do not rebuild"))
+                # Theorem 1: X_b * X_a has the coordinates of sigma_a * sigma_b
+                if coords != sigma_product(group, a, b):
+                    failures.append((group.name, n, a, b, "coordinates differ from sigma_a * sigma_b"))
     _report(9, "X_b * X_a always re-expresses in the X basis with integer "
-               "coordinates (closure), including non-abelian S3 at n=2", failures)
+               "coordinates (closure), and those are the sigma coordinates of "
+               "sigma_a * sigma_b, including non-abelian S3 at n=2", failures)
 
 
 def test_criterion_extras_power_and_random_spotchecks():

@@ -53,7 +53,27 @@ def test_multiply_x_combination_closure(capsys):
         "X(1:0|1:1)", "X(2:0)",
     )
     assert code == 0
-    assert out.strip().startswith(("X", "-", "0")) or "*" in out
+    assert out.strip() == "X(1:0|1:1)"
+
+
+def test_multiply_x_operand_with_leading_minus_after_double_dash(capsys):
+    code, out, _ = run(
+        capsys, "multiply", "--group", "cyclic:2", "--n", "2",
+        "--", "-X(1:0|1:1)", "X(2:0)",
+    )
+    assert code == 0
+    assert out.strip() == "-X(1:0|1:1)"
+
+
+def test_multiply_x_beyond_wreath_size_guard(capsys):
+    # |G|^n n! = 3^7 * 7! is over the default limit, but X products go
+    # through the sigma basis and never enumerate the wreath product
+    code, out, _ = run(
+        capsys, "multiply", "--group", "cyclic:3", "--n", "7",
+        "X(7:0)", "X(3:1|4:2)",
+    )
+    assert code == 0
+    assert out.strip() == "X(3:1|4:2)"
 
 
 def test_multiply_json_format(capsys):
@@ -152,6 +172,15 @@ def test_size_guard_exit_code(capsys):
     )
     assert code == 3
     assert "limit" in err
+
+
+def test_negative_limit_is_usage_error(capsys):
+    code, _, err = run(
+        capsys, "verify", "counts", "--group", "cyclic:2", "--n", "3",
+        "--limit", "-5",
+    )
+    assert code == 2
+    assert "--limit" in err
 
 
 def test_out_writes_report_and_prints_summary(tmp_path, capsys):
