@@ -68,7 +68,6 @@ from .descent import (
     group_algebra_mul,
     sigma_act_on_chamber,
     sigma_to_x,
-    verify_antihomomorphism,
     x_basis,
     y_basis,
     y_from_x,
@@ -76,6 +75,7 @@ from .descent import (
 from .verify import (
     VERIFY_TARGETS,
     run_verification,
+    verify_antihomomorphism,
     verify_counts,
     verify_identities,
     verify_left_ideal,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .errors import FormatError, SizeLimitError
 from .groups import group_from_spec
@@ -31,38 +30,6 @@ from .verify import VERIFY_TARGETS, run_verification
 from .wreath import wreath_mul
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    group_spec: str
-    n: int
-    mode: str = "exhaustive"
-    samples: int = 200
-    seed: int = 0
-    limit: int | None = DEFAULT_LIMIT
-    out: str | None = None
-    fmt: str = "json"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise FormatError(f"n must be at least 1, got {self.n}")
-        if self.mode == "sampled" and self.samples < 1:
-            raise FormatError(f"sample count must be at least 1, got {self.samples}")
-
-
-def _config_from_args(args) -> RunConfig:
-    limit = getattr(args, "limit", DEFAULT_LIMIT)
-    return RunConfig(
-        group_spec=args.group,
-        n=args.n,
-        mode=getattr(args, "mode", "exhaustive"),
-        samples=getattr(args, "samples", 200),
-        seed=getattr(args, "seed", 0),
-        limit=None if limit == 0 else limit,
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "format", "json"),
-    )
-
-
 def _dump(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
 
@@ -76,26 +43,25 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_multiply(args) -> int:
-    config = _config_from_args(args)
-    group = group_from_spec(config.group_spec)
+    group = group_from_spec(args.group)
     lhs_kind = detect_kind(args.lhs)
     rhs_kind = detect_kind(args.rhs)
     if lhs_kind != rhs_kind:
         raise FormatError(f"operands have different kinds: {lhs_kind} vs {rhs_kind}")
 
     if lhs_kind == "partition":
-        lhs = parse_partition(args.lhs, group, config.n)
-        rhs = parse_partition(args.rhs, group, config.n)
+        lhs = parse_partition(args.lhs, group, args.n)
+        rhs = parse_partition(args.rhs, group, args.n)
         rendered = render_partition(group, multiply(group, lhs, rhs))
         kind = "partition"
     elif lhs_kind == "wreath":
-        lhs = parse_colored_permutation(args.lhs, group, config.n)
-        rhs = parse_colored_permutation(args.rhs, group, config.n)
+        lhs = parse_colored_permutation(args.lhs, group, args.n)
+        rhs = parse_colored_permutation(args.rhs, group, args.n)
         rendered = render_colored_permutation(group, wreath_mul(group, lhs, rhs))
         kind = "wreath"
     else:
-        lhs_atom_kind, lhs = parse_combination(args.lhs, group, config.n)
-        rhs_atom_kind, rhs = parse_combination(args.rhs, group, config.n)
+        lhs_atom_kind, lhs = parse_combination(args.lhs, group, args.n)
+        rhs_atom_kind, rhs = parse_combination(args.rhs, group, args.n)
         if lhs_atom_kind != rhs_atom_kind:
             raise FormatError(
                 f"operands have different kinds: {lhs_atom_kind} vs {rhs_atom_kind}"
@@ -108,47 +74,45 @@ def cmd_multiply(args) -> int:
             product = invariant_mul(group, rhs, lhs)
         rendered = render_combination(group, kind, product)
 
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {
             "schema_version": 1,
             "command": "multiply",
             "group": group.name,
-            "n": config.n,
+            "n": args.n,
             "kind": kind,
             "lhs": args.lhs.strip(),
             "rhs": args.rhs.strip(),
             "product": rendered,
         }
-        _emit(_dump(payload), config.out)
+        _emit(_dump(payload), args.out)
     else:
-        _emit(rendered, config.out)
+        _emit(rendered, args.out)
     return 0
 
 
 def cmd_structure_constants(args) -> int:
-    config = _config_from_args(args)
-    group = group_from_spec(config.group_spec)
-    table = structure_constant_table(group, config.n, config.limit)
-    _emit(_dump(table), config.out)
+    group = group_from_spec(args.group)
+    table = structure_constant_table(group, args.n, args.limit)
+    _emit(_dump(table), args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    config = _config_from_args(args)
-    group = group_from_spec(config.group_spec)
+    group = group_from_spec(args.group)
     report = run_verification(
-        args.target, group, config.n, mode=config.mode,
-        samples=config.samples, seed=config.seed, limit=config.limit,
+        args.target, group, args.n, mode=args.mode,
+        samples=args.samples, seed=args.seed, limit=args.limit,
     )
     status = "PASS" if report["passed"] else "FAIL"
     summary = (
-        f"{status} {args.target} group={group.name} n={config.n} "
+        f"{status} {args.target} group={group.name} n={args.n} "
         f"checked={report['pairs_checked']} failures={len(report['failures'])}"
     )
-    if config.out:
-        _emit(_dump(report), config.out)
+    if args.out:
+        _emit(_dump(report), args.out)
         print(summary)
-    elif config.fmt == "json":
+    elif args.format == "json":
         print(_dump(report))
     else:
         print(summary)
@@ -162,11 +126,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _non_negative_int(text: str) -> int:
+def _limit(text: str) -> int | None:
+    """A size-guard limit; 0 disables the guard (None)."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+    return value or None
 
 
 def _add_common(sub, *, sampling: bool) -> None:
@@ -174,7 +139,7 @@ def _add_common(sub, *, sampling: bool) -> None:
                      help="group specifier: cyclic:<m> | symmetric:<m> | klein4 | file:<path>")
     sub.add_argument("--n", required=True, type=_positive_int,
                      help="size of the ground set {1..n}")
-    sub.add_argument("--limit", type=_non_negative_int, default=DEFAULT_LIMIT,
+    sub.add_argument("--limit", type=_limit, default=DEFAULT_LIMIT,
                      help=f"size-guard limit (default {DEFAULT_LIMIT}; 0 disables)")
     sub.add_argument("--out", help="write output to this file instead of stdout")
     if sampling:

@@ -9,29 +9,28 @@ Two bases, both indexed by colored compositions:
   coarsening of ``comp``, i.e. X_comp = sum of Y_beta over beta that comp
   refines.  Inverting that by inclusion-exclusion recovers Y from X.
 
-``descent_fibers`` is the one pass over the wreath product; every X or Y
-vector is read off its fibers.
+``descent_fibers`` is the one pass over the wreath product; ``expand_x``
+reads every X or Y vector off its fibers, and ``y_to_x`` is the one
+inclusion-exclusion routine.  The sweeps in :mod:`gwreath.verify` run one
+pass and hand it to those two.
 
 ``sigma_to_x`` sends each sigma basis vector of the invariant algebra to the
 matching X vector.  That map reverses products (Theorem 1): the image of
 sigma_a * sigma_b is X_b * X_a, so the X coordinates of X_a * X_b are the
 sigma coordinates of sigma_b * sigma_a, which is how ``gwreath multiply``
-computes X products.  ``verify_antihomomorphism`` sweeps the identity
-against the group-algebra product, which stays the independent oracle.
+computes X products.  The ``theorem1`` sweep, in :mod:`gwreath.verify`,
+checks the identity against ``group_algebra_mul``, the independent oracle.
 """
 
 from __future__ import annotations
 
-import random
-
 from .errors import NotInSpanError
-from .limits import DEFAULT_LIMIT, check_limit
+from .limits import DEFAULT_LIMIT
 from .linear import LinearCombination
 from .partitions import (
     ColoredComposition,
     coarsenings,
     composition_total,
-    enumerate_colored_compositions,
     enumerate_partitions_of_type,
     validate_composition,
 )
@@ -39,13 +38,11 @@ from .semigroup import multiply
 from .wreath import (
     ColoredPermutation,
     chamber_to_wreath,
-    count_wreath,
     descent_composition,
     enumerate_wreath,
     wreath_mul,
     wreath_to_chamber,
 )
-from .invariant import sigma_product
 
 
 def descent_fibers(group, n: int, limit: int | None = DEFAULT_LIMIT) -> dict:
@@ -68,7 +65,7 @@ def _fibers_of(group, comps, limit) -> dict:
     return fibers
 
 
-def _expand_x(fibers: dict, coords) -> LinearCombination:
+def expand_x(fibers: dict, coords) -> LinearCombination:
     """sum of coeff * X_comp over ``coords`` in the group algebra, where X_comp
     is the union of the fibers of the coarsenings of comp."""
     return LinearCombination(
@@ -79,7 +76,7 @@ def _expand_x(fibers: dict, coords) -> LinearCombination:
     )
 
 
-def _y_to_x(y_coords) -> LinearCombination:
+def y_to_x(y_coords) -> LinearCombination:
     """X coordinates of sum of coeff * Y_comp over ``y_coords``, by
     inclusion-exclusion: Y_c = sum over coarsenings b of c of
     (-1)^(len(c) - len(b)) X_b."""
@@ -98,14 +95,14 @@ def y_basis(group, comp: ColoredComposition,
 
 def x_basis(group, comp: ColoredComposition,
             limit: int | None = DEFAULT_LIMIT) -> LinearCombination:
-    return _expand_x(_fibers_of(group, [comp], limit), {comp: 1})
+    return expand_x(_fibers_of(group, [comp], limit), {comp: 1})
 
 
 def y_from_x(group, comp: ColoredComposition,
              limit: int | None = DEFAULT_LIMIT) -> LinearCombination:
     """Recover the Y vector by inclusion-exclusion over coarsenings; must
     agree with ``y_basis`` exactly."""
-    return _expand_x(_fibers_of(group, [comp], limit), _y_to_x({comp: 1}))
+    return expand_x(_fibers_of(group, [comp], limit), y_to_x({comp: 1}))
 
 
 def group_algebra_mul(group, x: LinearCombination, y: LinearCombination) -> LinearCombination:
@@ -121,7 +118,7 @@ def group_algebra_mul(group, x: LinearCombination, y: LinearCombination) -> Line
 def sigma_to_x(group, x: LinearCombination,
                limit: int | None = DEFAULT_LIMIT) -> LinearCombination:
     """Linear extension of sigma_comp -> X_comp into the group algebra."""
-    return _expand_x(_fibers_of(group, list(x.keys()), limit), x)
+    return expand_x(_fibers_of(group, list(x.keys()), limit), x)
 
 
 def express_in_x_basis(group, n: int, z: LinearCombination,
@@ -152,7 +149,7 @@ def express_in_x_basis(group, n: int, z: LinearCombination,
                 )
         if first:
             y_coords[comp] = first
-    return _y_to_x(y_coords)
+    return y_to_x(y_coords)
 
 
 def sigma_act_on_chamber(group, comp: ColoredComposition, v: ColoredPermutation,
@@ -170,63 +167,3 @@ def sigma_act_on_chamber(group, comp: ColoredComposition, v: ColoredPermutation,
         u = chamber_to_wreath(multiply(group, p, chamber))
         acc[u] = acc.get(u, 0) + 1
     return LinearCombination(acc)
-
-
-def verify_antihomomorphism(group, n: int, mode: str = "exhaustive",
-                            samples: int = 200, seed: int = 0,
-                            limit: int | None = DEFAULT_LIMIT) -> dict:
-    """Sweep the identity  sigma_to_x(sigma_a * sigma_b) = X_b * X_a  over
-    pairs of compositions, exhaustively or on seeded random samples.
-
-    Returns a report dict; each failure records the pair, the first basis
-    key where the sides differ, and both coefficients.
-    """
-    from .parsing import render_colored_permutation, render_composition
-
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-    comps = list(enumerate_colored_compositions(group, n, limit))
-    if mode == "exhaustive":
-        check_limit(len(comps) ** 2 * count_wreath(n, group.order), limit,
-                    f"exhaustive anti-homomorphism sweep at n={n}, |G|={group.order}")
-    fibers = descent_fibers(group, n, limit)
-    x_vectors = {comp: _expand_x(fibers, {comp: 1}) for comp in comps}
-
-    if mode == "exhaustive":
-        pairs = [(a, b) for a in comps for b in comps]
-    else:
-        rng = random.Random(seed)
-        pairs = [
-            (comps[rng.randrange(len(comps))], comps[rng.randrange(len(comps))])
-            for _ in range(samples)
-        ]
-
-    failures = []
-    for a, b in pairs:
-        lhs = LinearCombination(
-            (u, coeff * c)
-            for comp, coeff in sigma_product(group, a, b).items()
-            for u, c in x_vectors[comp].items()
-        )
-        rhs = group_algebra_mul(group, x_vectors[b], x_vectors[a])
-        if lhs != rhs:
-            diff = lhs - rhs
-            key = min(diff.keys())
-            failures.append({
-                "left": render_composition(group, a),
-                "right": render_composition(group, b),
-                "key": render_colored_permutation(group, key),
-                "lhs_coefficient": lhs.coefficient(key),
-                "rhs_coefficient": rhs.coefficient(key),
-            })
-    return {
-        "schema_version": 1,
-        "theorem": "theorem1",
-        "group": group.name,
-        "n": n,
-        "mode": mode,
-        "seed": seed if mode == "sampled" else None,
-        "pairs_checked": len(pairs),
-        "failures": failures,
-        "passed": not failures,
-    }

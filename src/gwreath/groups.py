@@ -121,7 +121,7 @@ def from_table(table, labels=None, name: str | None = None) -> FiniteGroup:
     Raises FormatError for shape problems and GroupAxiomError, naming the
     failing row or triple, when the table is not a group with identity 0.
     """
-    rows = [list(row) for row in table]
+    rows = _table_rows(table)
     m = len(rows)
     if m == 0:
         raise FormatError("Cayley table must be non-empty")
@@ -137,6 +137,8 @@ def from_table(table, labels=None, name: str | None = None) -> FiniteGroup:
                 )
     if labels is None:
         labels = tuple(str(a) for a in range(m))
+    elif not isinstance(labels, (list, tuple)):
+        raise FormatError(f"labels must be a list, got {type(labels).__name__}")
     else:
         labels = tuple(str(x) for x in labels)
         if len(labels) != m:
@@ -161,19 +163,48 @@ def from_table(table, labels=None, name: str | None = None) -> FiniteGroup:
     for b in range(m):
         if {rows[a][b] for a in range(m)} != full:
             raise GroupAxiomError(f"column {b} is not a permutation of 0..{m - 1}")
-    for a in range(m):
-        for b in range(m):
-            ab = rows[a][b]
+    # Light's test: the b with (a*b)*c = a*(b*c) for all a, c include the
+    # identity and are closed under the product, so checking b over a
+    # generating set (at most log2(m) elements in a group) decides
+    # associativity in O(m^2 log m) instead of O(m^3).
+    for b in _generators(rows):
+        row_b = rows[b]
+        for a in range(m):
             row_a = rows[a]
+            ab = row_a[b]
             for c in range(m):
-                if rows[ab][c] != row_a[rows[b][c]]:
+                if rows[ab][c] != row_a[row_b[c]]:
                     raise GroupAxiomError(
                         f"associativity fails at ({a},{b},{c}): "
-                        f"({a}*{b})*{c} = {rows[ab][c]} but {a}*({b}*{c}) = {row_a[rows[b][c]]}"
+                        f"({a}*{b})*{c} = {rows[ab][c]} but {a}*({b}*{c}) = {row_a[row_b[c]]}"
                     )
 
     frozen = tuple(tuple(row) for row in rows)
     return FiniteGroup(m, frozen, labels, name=name or f"table:{m}")
+
+
+def _table_rows(table) -> list:
+    """The rows of ``table`` as lists; FormatError unless it is a list of lists."""
+    sequence = (list, tuple)
+    if not isinstance(table, sequence) or not all(isinstance(row, sequence) for row in table):
+        raise FormatError("Cayley table must be a list of lists, one list per row")
+    return [list(row) for row in table]
+
+
+def _generators(rows) -> list:
+    """A generating set, built greedily: each element not yet reached from
+    the identity by right multiplication with earlier generators is one."""
+    generators, reached = [], {0}
+    for g in range(len(rows)):
+        if g not in reached:
+            generators.append(g)
+            frontier = list(reached)
+            while frontier:
+                row = rows[frontier.pop()]
+                new = {row[s] for s in generators} - reached
+                reached |= new
+                frontier.extend(new)
+    return generators
 
 
 def load_group(path) -> FiniteGroup:
@@ -185,7 +216,7 @@ def load_group(path) -> FiniteGroup:
         raise FormatError(f"cannot read group file {path}: {exc}") from exc
     if not isinstance(data, dict) or "table" not in data:
         raise FormatError(f"group file {path} must be a JSON object with a 'table' key")
-    table = data["table"]
+    table = _table_rows(data["table"])
     if "order" in data and data["order"] != len(table):
         raise FormatError(
             f"group file {path}: declared order {data['order']} does not match "

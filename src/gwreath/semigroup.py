@@ -84,6 +84,8 @@ def check_identities(group, n: int, mode: str = "exhaustive",
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+    if mode == "sampled" and samples < 1:
+        raise ValueError(f"sample count must be at least 1, got {samples}")
     if mode == "exhaustive":
         check_limit(count_colored_partitions(n, group.order) ** 2, limit,
                     f"identity sweep over all pairs at n={n}, |G|={group.order}")

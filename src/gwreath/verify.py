@@ -1,9 +1,16 @@
 """Verification sweeps over the library's defining identities.
 
-Each suite returns a JSON-ready report with the same envelope:
-schema_version, theorem (the target name), group, n, mode, seed,
-pairs_checked, failures, passed.  Reports are deterministic for a fixed
-configuration, including the seed in sampled mode.
+``run_verification`` dispatches through one registry, ``_SWEEPS``, whose
+order is ``VERIFY_TARGETS``.  ``identities``, ``prop1`` and ``theorem1`` run
+exhaustively or on ``samples`` (at least 1) seeded random pairs; ``mobius``,
+``left-ideal`` and ``counts`` are always exhaustive.
+
+Every report has one envelope, built by ``_envelope``: schema_version,
+theorem (the target name), group, n, mode, seed (None unless sampled),
+pairs_checked, failures and passed; ``identities`` adds element_count and
+``counts`` the three enumerated counts.  Reports are deterministic for a
+fixed configuration, the seed included.  A sweep that needs X or Y vectors
+runs ``descent_fibers`` once and reads them all off that pass.
 """
 
 from __future__ import annotations
@@ -12,12 +19,10 @@ import random
 
 from .descent import (
     descent_fibers,
+    expand_x,
     group_algebra_mul,
     sigma_act_on_chamber,
-    verify_antihomomorphism,
-    x_basis,
-    y_basis,
-    y_from_x,
+    y_to_x,
 )
 from .errors import FormatError
 from .limits import DEFAULT_LIMIT, check_limit
@@ -44,8 +49,6 @@ from .wreath import (
 )
 from .invariant import sigma_product, sigma_product_bruteforce
 
-VERIFY_TARGETS = ("identities", "prop1", "mobius", "theorem1", "left-ideal", "counts")
-
 
 def _envelope(target: str, group, n: int, mode: str, seed, pairs: int, failures: list) -> dict:
     return {
@@ -59,6 +62,31 @@ def _envelope(target: str, group, n: int, mode: str, seed, pairs: int, failures:
         "failures": failures,
         "passed": not failures,
     }
+
+
+def _check_sampling(mode: str, samples: int) -> None:
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+    if mode == "sampled" and samples < 1:
+        raise ValueError(f"sample count must be at least 1, got {samples}")
+
+
+def _pairs(comps: list, mode: str, samples: int, seed: int):
+    """Every ordered pair of ``comps``, or ``samples`` pairs drawn with
+    ``seed``; returns the pairs and the seed to record (None if exhaustive)."""
+    if mode == "exhaustive":
+        return [(a, b) for a in comps for b in comps], None
+    rng = random.Random(seed)
+    pairs = [(comps[rng.randrange(len(comps))], comps[rng.randrange(len(comps))])
+             for _ in range(samples)]
+    return pairs, seed
+
+
+def _first_difference(left: LinearCombination, right: LinearCombination):
+    """The least basis key where two unequal combinations differ, and the
+    coefficient of each side there."""
+    key = min((left - right).keys())
+    return key, left.coefficient(key), right.coefficient(key)
 
 
 def verify_identities(group, n: int, mode: str = "exhaustive", samples: int = 10_000,
@@ -81,54 +109,83 @@ def verify_identities(group, n: int, mode: str = "exhaustive", samples: int = 10
 def verify_prop1(group, n: int, mode: str = "exhaustive", samples: int = 200,
                  seed: int = 0, limit: int | None = DEFAULT_LIMIT) -> dict:
     """Matrix-rule products against brute-force expansion, pair by pair."""
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+    _check_sampling(mode, samples)
     comps = list(enumerate_colored_compositions(group, n, limit))
     if mode == "exhaustive":
         check_limit(len(comps) ** 2, limit,
                     f"product-rule sweep over composition pairs at n={n}")
-        pairs = [(a, b) for a in comps for b in comps]
-        used_seed = None
-    else:
-        rng = random.Random(seed)
-        pairs = [(comps[rng.randrange(len(comps))], comps[rng.randrange(len(comps))])
-                 for _ in range(samples)]
-        used_seed = seed
+    pairs, used_seed = _pairs(comps, mode, samples, seed)
     failures = []
     for a, b in pairs:
         fast = sigma_product(group, a, b)
         brute = sigma_product_bruteforce(group, a, b, limit=limit)
         if fast != brute:
-            diff = fast - brute
-            key = min(diff.keys())
+            key, fast_coeff, brute_coeff = _first_difference(fast, brute)
             failures.append({
                 "left": render_composition(group, a),
                 "right": render_composition(group, b),
                 "key": render_composition(group, key),
-                "matrix_rule": fast.coefficient(key),
-                "bruteforce": brute.coefficient(key),
+                "matrix_rule": fast_coeff,
+                "bruteforce": brute_coeff,
             })
     return _envelope("prop1", group, n, mode, used_seed, len(pairs), failures)
 
 
 def verify_mobius(group, n: int, limit: int | None = DEFAULT_LIMIT) -> dict:
-    """Inclusion-exclusion round trip: y_from_x must equal y_basis everywhere."""
+    """Inclusion-exclusion round trip: the Y vector recovered from X vectors
+    must equal the sum over its descent fiber, for every composition."""
+    comps = list(enumerate_colored_compositions(group, n, limit))
+    fibers = descent_fibers(group, n, limit)
     failures = []
-    checked = 0
-    for comp in enumerate_colored_compositions(group, n, limit):
-        checked += 1
-        direct = y_basis(group, comp, limit)
-        inverted = y_from_x(group, comp, limit)
+    for comp in comps:
+        direct = LinearCombination((u, 1) for u in fibers.get(comp, ()))
+        inverted = expand_x(fibers, y_to_x({comp: 1}))
         if direct != inverted:
-            diff = direct - inverted
-            key = min(diff.keys())
+            key, direct_coeff, inverted_coeff = _first_difference(direct, inverted)
             failures.append({
                 "composition": render_composition(group, comp),
                 "key": render_colored_permutation(group, key),
-                "direct": direct.coefficient(key),
-                "inverted": inverted.coefficient(key),
+                "direct": direct_coeff,
+                "inverted": inverted_coeff,
             })
-    return _envelope("mobius", group, n, "exhaustive", None, checked, failures)
+    return _envelope("mobius", group, n, "exhaustive", None, len(comps), failures)
+
+
+def verify_antihomomorphism(group, n: int, mode: str = "exhaustive",
+                            samples: int = 200, seed: int = 0,
+                            limit: int | None = DEFAULT_LIMIT) -> dict:
+    """Sweep the identity  sigma_to_x(sigma_a * sigma_b) = X_b * X_a  over
+    pairs of compositions, exhaustively or on seeded random samples.
+
+    Each failure records the pair, the first basis key where the sides
+    differ, and both coefficients.
+    """
+    _check_sampling(mode, samples)
+    comps = list(enumerate_colored_compositions(group, n, limit))
+    if mode == "exhaustive":
+        check_limit(len(comps) ** 2 * count_wreath(n, group.order), limit,
+                    f"exhaustive anti-homomorphism sweep at n={n}, |G|={group.order}")
+    fibers = descent_fibers(group, n, limit)
+    x_vectors = {comp: expand_x(fibers, {comp: 1}) for comp in comps}
+    pairs, used_seed = _pairs(comps, mode, samples, seed)
+    failures = []
+    for a, b in pairs:
+        lhs = LinearCombination(
+            (u, coeff * c)
+            for comp, coeff in sigma_product(group, a, b).items()
+            for u, c in x_vectors[comp].items()
+        )
+        rhs = group_algebra_mul(group, x_vectors[b], x_vectors[a])
+        if lhs != rhs:
+            key, lhs_coeff, rhs_coeff = _first_difference(lhs, rhs)
+            failures.append({
+                "left": render_composition(group, a),
+                "right": render_composition(group, b),
+                "key": render_colored_permutation(group, key),
+                "lhs_coefficient": lhs_coeff,
+                "rhs_coefficient": rhs_coeff,
+            })
+    return _envelope("theorem1", group, n, mode, used_seed, len(pairs), failures)
 
 
 def verify_left_ideal(group, n: int, limit: int | None = DEFAULT_LIMIT) -> dict:
@@ -139,28 +196,28 @@ def verify_left_ideal(group, n: int, limit: int | None = DEFAULT_LIMIT) -> dict:
                 limit, f"left-ideal sweep at n={n}, |G|={group.order}")
     failures = []
     checked = 0
-    chambers = [wreath_to_chamber(u) for u in enumerate_wreath(group, n, limit)]
+    elements = list(enumerate_wreath(group, n, limit))
+    chambers = [wreath_to_chamber(u) for u in elements]
     for partition in enumerate_colored_partitions(group, n, limit):
         for chamber in chambers:
             checked += 1
             product = multiply(group, partition, chamber)
             if not is_chamber(product):
-                failures.append({
-                    "kind": "not-a-chamber",
-                    "left": render_partition(group, partition),
-                    "right": render_partition(group, chamber),
-                })
+                kind = "not-a-chamber"
+            elif product != chamber_product_direct(group, partition, chamber):
+                kind = "sorting-route-mismatch"
+            else:
                 continue
-            if product != chamber_product_direct(group, partition, chamber):
-                failures.append({
-                    "kind": "sorting-route-mismatch",
-                    "left": render_partition(group, partition),
-                    "right": render_partition(group, chamber),
-                })
+            failures.append({
+                "kind": kind,
+                "left": render_partition(group, partition),
+                "right": render_partition(group, chamber),
+            })
+    fibers = descent_fibers(group, n, limit)
     identity = wreath_identity(n)
     for comp in enumerate_colored_compositions(group, n, limit):
-        x_vector = x_basis(group, comp, limit)
-        for v in enumerate_wreath(group, n, limit):
+        x_vector = expand_x(fibers, {comp: 1})
+        for v in elements:
             checked += 1
             action = sigma_act_on_chamber(group, comp, v, limit)
             expected = group_algebra_mul(group, LinearCombination.basis(v), x_vector)
@@ -182,26 +239,18 @@ def verify_left_ideal(group, n: int, limit: int | None = DEFAULT_LIMIT) -> dict:
 def verify_counts(group, n: int, limit: int | None = DEFAULT_LIMIT) -> dict:
     """Enumerated cardinalities against the closed-form counts, plus the
     partition of the wreath product by descent fibers."""
-    failures = []
-    order = group.order
-
     partition_count = sum(1 for _ in enumerate_colored_partitions(group, n, limit))
-    expected = count_colored_partitions(n, order)
-    if partition_count != expected:
-        failures.append({"kind": "partition-count", "enumerated": partition_count,
-                         "formula": expected})
-
     comp_count = sum(1 for _ in enumerate_colored_compositions(group, n, limit))
-    expected = count_colored_compositions(n, order)
-    if comp_count != expected:
-        failures.append({"kind": "composition-count", "enumerated": comp_count,
-                         "formula": expected})
-
     wreath_count = sum(1 for _ in enumerate_wreath(group, n, limit))
-    expected = count_wreath(n, order)
-    if wreath_count != expected:
-        failures.append({"kind": "wreath-count", "enumerated": wreath_count,
-                         "formula": expected})
+    failures = [
+        {"kind": kind, "enumerated": enumerated, "formula": formula}
+        for kind, enumerated, formula in (
+            ("partition-count", partition_count, count_colored_partitions(n, group.order)),
+            ("composition-count", comp_count, count_colored_compositions(n, group.order)),
+            ("wreath-count", wreath_count, count_wreath(n, group.order)),
+        )
+        if enumerated != formula
+    ]
 
     fibers = descent_fibers(group, n, limit)
     fiber_total = sum(len(members) for members in fibers.values())
@@ -217,24 +266,27 @@ def verify_counts(group, n: int, limit: int | None = DEFAULT_LIMIT) -> dict:
     return report
 
 
+# target -> (sweep, whether it takes mode, samples and seed); the order is
+# the one the CLI shows
+_SWEEPS = {
+    "identities": (verify_identities, True),
+    "prop1": (verify_prop1, True),
+    "mobius": (verify_mobius, False),
+    "theorem1": (verify_antihomomorphism, True),
+    "left-ideal": (verify_left_ideal, False),
+    "counts": (verify_counts, False),
+}
+VERIFY_TARGETS = tuple(_SWEEPS)
+
+
 def run_verification(target: str, group, n: int, mode: str = "exhaustive",
                      samples: int = 200, seed: int = 0,
                      limit: int | None = DEFAULT_LIMIT) -> dict:
-    if target == "identities":
-        identity_samples = samples if samples else 10_000
-        return verify_identities(group, n, mode=mode, samples=identity_samples,
-                                 seed=seed, limit=limit)
-    if target == "prop1":
-        return verify_prop1(group, n, mode=mode, samples=samples, seed=seed, limit=limit)
-    if target == "mobius":
-        return verify_mobius(group, n, limit=limit)
-    if target == "theorem1":
-        return verify_antihomomorphism(group, n, mode=mode, samples=samples,
-                                       seed=seed, limit=limit)
-    if target == "left-ideal":
-        return verify_left_ideal(group, n, limit=limit)
-    if target == "counts":
-        return verify_counts(group, n, limit=limit)
-    raise FormatError(
-        f"unknown verification target {target!r}; expected one of {', '.join(VERIFY_TARGETS)}"
-    )
+    if target not in _SWEEPS:
+        raise FormatError(
+            f"unknown verification target {target!r}; expected one of {', '.join(VERIFY_TARGETS)}"
+        )
+    sweep, sampled = _SWEEPS[target]
+    if sampled:
+        return sweep(group, n, mode=mode, samples=samples, seed=seed, limit=limit)
+    return sweep(group, n, limit=limit)

@@ -11,7 +11,6 @@ from gwreath.descent import (
     group_algebra_mul,
     sigma_act_on_chamber,
     sigma_to_x,
-    verify_antihomomorphism,
     x_basis,
     y_basis,
     y_from_x,
@@ -33,6 +32,7 @@ from gwreath.partitions import (
     stirling2,
 )
 from gwreath.semigroup import check_identities, idempotents, identity_partition, multiply, power
+from gwreath.verify import verify_antihomomorphism
 from gwreath.wreath import (
     chamber_to_wreath,
     count_wreath,

@@ -225,3 +225,20 @@ def test_usage_error_exit_code(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("content", [
+    {"table": [1, 2]},
+    {"table": 5},
+    {"order": 2, "table": 5},
+    {"table": "ab"},
+    {"table": [[0]], "labels": 5},
+])
+def test_malformed_group_file_is_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    code, out, err = run(
+        capsys, "multiply", "--group", f"file:{path}", "--n", "1", "({1}:0)", "({1}:0)",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "must be a list" in err

@@ -6,7 +6,6 @@ from gwreath.descent import (
     group_algebra_mul,
     sigma_act_on_chamber,
     sigma_to_x,
-    verify_antihomomorphism,
     x_basis,
     y_basis,
     y_from_x,
@@ -16,6 +15,7 @@ from gwreath.groups import cyclic, symmetric
 from gwreath.invariant import sigma_product
 from gwreath.linear import LinearCombination
 from gwreath.partitions import enumerate_colored_compositions, is_refinement
+from gwreath.verify import verify_antihomomorphism
 from gwreath.wreath import descent_composition, enumerate_wreath, wreath_identity, wreath_mul
 
 

@@ -1,6 +1,9 @@
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwreath.errors import FormatError, GroupAxiomError, SizeLimitError
 from gwreath.groups import (
@@ -152,6 +155,62 @@ def test_from_table_non_associative_latin_square():
     ]
     with pytest.raises(GroupAxiomError, match="associativity"):
         from_table(square)
+
+
+def _associative(rows):
+    """The full O(m^3) triple check, the oracle for Light's test."""
+    m = len(rows)
+    return all(rows[rows[a][b]][c] == rows[a][rows[b][c]]
+               for a in range(m) for b in range(m) for c in range(m))
+
+
+def _random_reduced_latin_square(m, rng):
+    """A Latin square with first row and column 0..m-1, filled cell by cell
+    in random order of candidates with backtracking."""
+    rows = [[j if i == 0 else (i if j == 0 else None) for j in range(m)] for i in range(m)]
+    cells = [(i, j) for i in range(1, m) for j in range(1, m)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(rows[i][:j]) | {rows[r][j] for r in range(i)}
+        candidates = [v for v in range(m) if v not in used]
+        rng.shuffle(candidates)
+        for v in candidates:
+            rows[i][j] = v
+            if fill(k + 1):
+                return True
+        rows[i][j] = None
+        return False
+
+    assert fill(0)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 6), rng=st.randoms(use_true_random=False))
+def test_light_associativity_test_matches_full_check(m, rng):
+    square = _random_reduced_latin_square(m, rng)
+    if _associative(square):
+        assert from_table(square).order == m
+        return
+    with pytest.raises(GroupAxiomError, match="associativity") as info:
+        from_table(square)
+    a, b, c = map(int, re.search(r"fails at \((\d+),(\d+),(\d+)\)", str(info.value)).groups())
+    assert square[square[a][b]][c] != square[a][square[b][c]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(G=st.sampled_from([symmetric(3), cyclic(6), klein_four(), symmetric(4)]),
+       rng=st.randoms(use_true_random=False))
+def test_light_associativity_test_accepts_relabeled_groups(G, rng):
+    # relabeling the non-identity elements changes the greedy generating set
+    perm = [0] + rng.sample(range(1, G.order), G.order - 1)
+    inverse = {p: i for i, p in enumerate(perm)}
+    table = [[perm[G.table[inverse[a]][inverse[b]]] for b in range(G.order)]
+             for a in range(G.order)]
+    assert from_table(table).order == G.order
 
 
 def test_from_table_duplicate_labels():
