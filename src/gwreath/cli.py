@@ -68,10 +68,10 @@ def cmd_multiply(args) -> int:
             )
         kind = lhs_atom_kind
         if kind == "sigma":
-            product = invariant_mul(group, lhs, rhs)
+            product = invariant_mul(group, lhs, rhs, args.limit)
         else:
             # Theorem 1: X_a * X_b has the coordinates of sigma_b * sigma_a
-            product = invariant_mul(group, rhs, lhs)
+            product = invariant_mul(group, rhs, lhs, args.limit)
         rendered = render_combination(group, kind, product)
 
     if args.format == "json":

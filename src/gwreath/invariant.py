@@ -4,19 +4,30 @@ Summing all partitions of a fixed type gives a basis (the sigma basis)
 indexed by colored compositions.  Products of two sigma basis vectors
 expand with non-negative integer structure constants, computed two ways:
 
-* ``sigma_product`` enumerates matrices compatible with the two
-  compositions (contingency tables with forced cell colors) and reads each
+* ``sigma_product`` counts the matrices compatible with the two
+  compositions (contingency tables with forced cell colors), each read
   row-by-row;
 * ``sigma_product_bruteforce`` literally multiplies every partition of one
   type by every partition of the other and regroups the sum by type.
 
 The two routes must agree; the brute-force one is the oracle.
+
+A compatible matrix is a skeleton, the sizes of its non-empty cells, plus
+colors that are forced: cell (i, j) gets col_color * row_color.  Skeletons
+depend on the two size sequences only, so ``_skeletons`` enumerates them
+once per pair of size sequences, in a bounded cache, and ``sigma_product``
+colors each cached skeleton by looking its cells up in the product's list
+of cell colors.  ``enumerate_compatible_matrices`` builds its matrices from
+the same skeletons, and ``structure_constant_table`` computes one row of
+products per orbit of recolorings that leave every cell color unchanged.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 from .errors import InvarianceViolationError
 from .limits import DEFAULT_LIMIT, check_limit
@@ -84,9 +95,58 @@ def _row_fills(total, caps):
             yield (value, *rest)
 
 
-def enumerate_compatible_matrices(group, left: ColoredComposition,
-                                  right: ColoredComposition):
-    """All matrices compatible with the pair, exactly once."""
+def _walk_skeletons(row_sizes: tuple, col_sizes: tuple):
+    """Every contingency table with these margins, once, in the lexicographic
+    order of ``_row_fills`` row by row.  Each is a ``(cell sizes, flat cell
+    indices)`` pair over its non-empty cells in row-major order; cell (i, j)
+    has flat index ``i * len(col_sizes) + j``."""
+    width = len(col_sizes)
+
+    def rows(i, remaining, sizes, where):
+        if i == len(row_sizes):
+            yield sizes, where
+            return
+        base = i * width
+        for fill in _row_fills(row_sizes[i], remaining):
+            filled = [(value, base + j) for j, value in enumerate(fill) if value]
+            yield from rows(i + 1, tuple(r - v for r, v in zip(remaining, fill)),
+                            sizes + tuple(value for value, _ in filled),
+                            where + tuple(k for _, k in filled))
+
+    return rows(0, col_sizes, (), ())
+
+
+def _multinomial(sizes: tuple) -> int:
+    result = factorial(sum(sizes))
+    for size in sizes:
+        result //= factorial(size)
+    return result
+
+
+# The tables with margins a and b are the double cosets S_a \ S_n / S_b, so
+# there are at most min(n! / a!, n! / b!) of them, where a! is the product
+# of the factorials of a's sizes.  A shape whose bound is
+# over this is walked afresh on each call instead of being held in memory.
+_CACHED_TABLES = 10_000
+
+
+@lru_cache(maxsize=4096)
+def _skeletons(row_sizes: tuple, col_sizes: tuple) -> tuple | None:
+    """The skeletons of ``_walk_skeletons`` as a tuple, or None when the
+    shape may have more than ``_CACHED_TABLES`` of them."""
+    bound = min(_multinomial(row_sizes), _multinomial(col_sizes))
+    if bound > _CACHED_TABLES:
+        return None
+    return tuple(_walk_skeletons(row_sizes, col_sizes))
+
+
+def _pair_skeletons(left: ColoredComposition, right: ColoredComposition):
+    row_sizes = tuple(size for size, _ in left)
+    col_sizes = tuple(size for size, _ in right)
+    return _skeletons(row_sizes, col_sizes) or _walk_skeletons(row_sizes, col_sizes)
+
+
+def _check_pair(group, left: ColoredComposition, right: ColoredComposition) -> None:
     validate_composition(left, group)
     validate_composition(right, group)
     n = composition_total(left)
@@ -94,26 +154,26 @@ def enumerate_compatible_matrices(group, left: ColoredComposition,
         raise ValueError(
             f"compositions of different totals: {n} vs {composition_total(right)}"
         )
-    col_sizes = tuple(size for size, _ in right)
-    colors = tuple(
-        tuple(group.mul(col_color, row_color) for _, col_color in right)
-        for _, row_color in left
-    )
 
-    def rows(i, remaining):
-        if i == len(left):
-            yield ()
-            return
-        for fill in _row_fills(left[i][0], remaining):
-            row = tuple(
-                (value, colors[i][j]) if value else None
-                for j, value in enumerate(fill)
-            )
-            rest_remaining = tuple(r - v for r, v in zip(remaining, fill))
-            for rest in rows(i + 1, rest_remaining):
-                yield (row, *rest)
 
-    for cells in rows(0, col_sizes):
+def _cell_colors(group, left: ColoredComposition, right: ColoredComposition) -> list:
+    """The forced color col_color * row_color of every cell, row-major, in
+    that order of factors (it matters for non-abelian groups)."""
+    mul = group.mul
+    return [mul(col_color, row_color) for _, row_color in left for _, col_color in right]
+
+
+def enumerate_compatible_matrices(group, left: ColoredComposition,
+                                  right: ColoredComposition):
+    """All matrices compatible with the pair, exactly once."""
+    _check_pair(group, left, right)
+    colors = _cell_colors(group, left, right)
+    height, width = len(left), len(right)
+    for sizes, where in _pair_skeletons(left, right):
+        grid = [None] * (height * width)
+        for size, k in zip(sizes, where):
+            grid[k] = (size, colors[k])
+        cells = tuple(tuple(grid[i * width:(i + 1) * width]) for i in range(height))
         yield CompatibleMatrix(cells=cells, row_type=left, col_type=right)
 
 
@@ -124,12 +184,14 @@ def read_row_by_row(matrix: CompatibleMatrix) -> ColoredComposition:
 
 def sigma_product(group, left: ColoredComposition,
                   right: ColoredComposition) -> LinearCombination:
-    """Structure constants of sigma_left * sigma_right, keyed by composition."""
-    acc: dict = {}
-    for matrix in enumerate_compatible_matrices(group, left, right):
-        key = read_row_by_row(matrix)
-        acc[key] = acc.get(key, 0) + 1
-    return LinearCombination(acc)
+    """Structure constants of sigma_left * sigma_right, keyed by composition:
+    each compatible matrix, read row by row, counts once."""
+    _check_pair(group, left, right)
+    color = _cell_colors(group, left, right).__getitem__
+    return LinearCombination(Counter(
+        tuple(zip(sizes, map(color, where)))
+        for sizes, where in _pair_skeletons(left, right)
+    ))
 
 
 @lru_cache(maxsize=4096)
@@ -147,13 +209,7 @@ def sigma_product_bruteforce(group, left: ColoredComposition,
     anything else means the product of invariant elements failed to be
     invariant, which is an internal bug worth a loud error.
     """
-    validate_composition(left, group)
-    validate_composition(right, group)
-    n = composition_total(left)
-    if composition_total(right) != n:
-        raise ValueError(
-            f"compositions of different totals: {n} vs {composition_total(right)}"
-        )
+    _check_pair(group, left, right)
     check_limit(count_partitions_of_type(left) * count_partitions_of_type(right),
                 limit, "brute-force sigma product")
     acc: dict = {}
@@ -182,8 +238,19 @@ def sigma_product_bruteforce(group, left: ColoredComposition,
     return LinearCombination(coeffs)
 
 
-def invariant_mul(group, x: LinearCombination, y: LinearCombination) -> LinearCombination:
-    """Bilinear extension of ``sigma_product`` to sigma-basis combinations."""
+def invariant_mul(group, x: LinearCombination, y: LinearCombination,
+                  limit: int | None = DEFAULT_LIMIT) -> LinearCombination:
+    """Bilinear extension of ``sigma_product`` to sigma-basis combinations.
+
+    The size guard bounds the compatible matrices of each term pair by the
+    smaller of its two type fibers (see ``_CACHED_TABLES``).
+    """
+    estimate = 0
+    for left in x.keys():
+        for right in y.keys():
+            _check_pair(group, left, right)
+            estimate += min(count_partitions_of_type(left), count_partitions_of_type(right))
+    check_limit(estimate, limit, "compatible matrices of a sigma product")
     return LinearCombination(
         (key, a * b * c)
         for left, a in x.items()
@@ -205,7 +272,8 @@ def structure_constant_table(group, n: int,
     """The full product table of the sigma basis, in the documented JSON shape.
 
     ``basis`` lists the compositions in canonical order as grammar text;
-    ``products`` maps "i,j" to a sparse ``[[basis_index, coefficient], ...]``.
+    ``products`` maps "i,j" to a sparse ``[[basis_index, coefficient], ...]``;
+    equal products share one list object, so copy an entry before changing it.
     """
     from .parsing import render_composition
 
@@ -214,12 +282,34 @@ def structure_constant_table(group, n: int,
                 f"structure constant table at n={n}, |G|={group.order}")
     basis = list(enumerate_colored_compositions(group, n, limit))
     index = {comp: i for i, comp in enumerate(basis)}
+    # Multiplying every color of a by g on the left, and every color of b by
+    # g^-1 on the right, leaves each cell color col_color * row_color as it
+    # was, so sigma_(g.a) * sigma_(b.g^-1) = sigma_a * sigma_b.  One row of
+    # products is computed per orbit, for the left factor whose first color
+    # is the identity, and read by every row of the orbit.
+    mul = group.mul
+
+    def recolored(comp, g, h) -> int:
+        """The basis index of comp with each color c replaced by g*c*h."""
+        return index[tuple((size, mul(mul(g, color), h)) for size, color in comp)]
+
+    rows: dict = {}
+    shifts: dict = {}
     products = {}
     for i, left in enumerate(basis):
-        for j, right in enumerate(basis):
-            expansion = sigma_product(group, left, right)
-            entries = sorted([index[comp], coeff] for comp, coeff in expansion.items())
-            products[f"{i},{j}"] = entries
+        g = left[0][1]
+        base = recolored(left, group.inverse(g), 0)
+        if base not in rows:
+            rows[base] = [
+                sorted([index[comp], coeff]
+                       for comp, coeff in sigma_product(group, basis[base], right).items())
+                for right in basis
+            ]
+        if g not in shifts:
+            shifts[g] = [recolored(right, 0, g) for right in basis]
+        row, shift = rows[base], shifts[g]
+        for j in range(len(basis)):
+            products[f"{i},{j}"] = row[shift[j]]
     return {
         "schema_version": 1,
         "group": group.name,

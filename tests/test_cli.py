@@ -76,6 +76,37 @@ def test_multiply_x_beyond_wreath_size_guard(capsys):
     assert out.strip() == "X(3:1|4:2)"
 
 
+FINEST_8 = "sigma(" + "|".join(["1:0"] * 8) + ")"
+
+
+def test_multiply_sigma_size_guard(capsys):
+    # finest composition squared at n=8: up to 8! = 40320 compatible matrices
+    code, out, err = run(
+        capsys, "multiply", "--group", "cyclic:1", "--n", "8", "--limit", "10",
+        FINEST_8, FINEST_8,
+    )
+    assert (code, out) == (3, "")
+    assert "40320" in err and "limit of 10" in err
+
+
+def test_multiply_sigma_under_default_limit(capsys):
+    code, out, _ = run(
+        capsys, "multiply", "--group", "cyclic:1", "--n", "8", FINEST_8, FINEST_8,
+    )
+    assert code == 0
+    assert out.strip() == "40320*" + FINEST_8
+
+
+def test_multiply_x_size_guard(capsys):
+    # fibers of 5!/(1!2!2!) = 30 and 5!/(2!3!) = 10 partitions
+    code, _, err = run(
+        capsys, "multiply", "--group", "cyclic:2", "--n", "5", "--limit", "9",
+        "X(1:0|2:1|2:0)", "X(2:0|3:1)",
+    )
+    assert code == 3
+    assert "estimated 10 items" in err
+
+
 def test_multiply_json_format(capsys):
     code, out, _ = run(
         capsys, "multiply", "--group", "cyclic:2", "--n", "2",

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwreath.groups import cyclic, klein_four, symmetric
+from gwreath import invariant
+from gwreath.errors import SizeLimitError
+from gwreath.groups import cyclic, from_table, klein_four, symmetric
 from gwreath.invariant import (
     CompatibleMatrix,
     enumerate_compatible_matrices,
@@ -106,13 +108,86 @@ def test_read_row_by_row_simple():
     (((1, 0), (1, 0), (1, 0)), ((2, 0), (1, 0)), 1),
 ])
 def test_enumeration_against_bruteforce_oracle(left, right, order):
-    G = cyclic(order)
+    check_against_oracle(cyclic(order), left, right)
+
+
+def check_against_oracle(G, left, right):
     fast = list(enumerate_compatible_matrices(G, left, right))
     slow = oracle_matrices(G, left, right)
     assert len(fast) == len(set(fast))
     assert set(fast) == set(slow)
     for matrix in fast:
         assert matrix_is_compatible(G, matrix)
+
+
+def commute(G, a, b):
+    return G.mul(a, b) == G.mul(b, a)
+
+
+@pytest.mark.parametrize("left,right", [
+    (((1, 1), (2, 2)), ((2, 3), (1, 4))),
+    (((2, 1), (1, 5)), ((1, 2), (1, 3), (1, 4))),
+    (((1, 3), (1, 1), (1, 2)), ((1, 5), (2, 1))),
+])
+def test_enumeration_against_bruteforce_oracle_nonabelian(left, right):
+    G = symmetric(3)
+    assert any(not commute(G, r, c) for _, r in left for _, c in right)
+    check_against_oracle(G, left, right)
+    assert sigma_product(G, left, right) == sigma_product_bruteforce(G, left, right)
+
+
+def test_enumeration_order_pinned_in_s3():
+    # rows are filled in lexicographic order: row 0 takes (0, 1) before
+    # (1, 0).  Each cell color is col_color * row_color, and no row color
+    # here commutes with any column color (3*1 = 2 but 1*3 = 5, ...).
+    G = symmetric(3)
+    left, right = ((1, 1), (2, 2)), ((2, 3), (1, 4))
+    assert not any(commute(G, r, c) for _, r in left for _, c in right)
+    assert list(enumerate_compatible_matrices(G, left, right)) == [
+        CompatibleMatrix(cells=((None, (1, 5)), ((2, 5), None)),
+                         row_type=left, col_type=right),
+        CompatibleMatrix(cells=(((1, 2), None), ((1, 5), (1, 1))),
+                         row_type=left, col_type=right),
+    ]
+
+
+def relabeled(G, new):
+    """An isomorphic copy of G in which element a is renumbered new[a]."""
+    table = [[0] * G.order for _ in range(G.order)]
+    for a in range(G.order):
+        for b in range(G.order):
+            table[new[a]][new[b]] = new[G.mul(a, b)]
+    return from_table(table)
+
+
+def test_skeletons_cached_once_per_shape():
+    # the skeleton of a compatible matrix depends on the part sizes only,
+    # not on the colors or on the group
+    S3 = symmetric(3)
+    groups = (S3, relabeled(S3, (0, 3, 5, 1, 2, 4)))
+    pairs = [(((1, 1), (2, 2)), ((2, 3), (1, 4))),
+             (((1, 4), (2, 0)), ((2, 5), (1, 2)))]
+    invariant._skeletons.cache_clear()
+    for G in groups:
+        for left, right in pairs:
+            assert sigma_product(G, left, right) == sigma_product_bruteforce(G, left, right)
+    assert invariant._skeletons.cache_info().misses == 1
+
+
+def test_uncached_shapes_walked_afresh(monkeypatch):
+    # a shape with possibly more tables than _CACHED_TABLES is not held;
+    # the walk gives the same products
+    G = symmetric(3)
+    comps = list(enumerate_colored_compositions(G, 3))[::7]
+    cached = {(a, b): sigma_product(G, a, b) for a in comps for b in comps}
+    invariant._skeletons.cache_clear()
+    monkeypatch.setattr(invariant, "_CACHED_TABLES", 0)
+    try:
+        for (a, b), product in cached.items():
+            assert sigma_product(G, a, b) == product
+            assert invariant._skeletons(tuple(s for s, _ in a), tuple(s for s, _ in b)) is None
+    finally:
+        invariant._skeletons.cache_clear()
 
 
 def test_every_reading_is_a_composition():
@@ -219,6 +294,19 @@ def test_invariant_mul_associative_random():
         )
 
 
+def test_invariant_mul_size_guard():
+    # each term pair has at most min(|fiber a|, |fiber b|) compatible
+    # matrices: 4!/(2!1!1!) = 12 against 4! = 24, and 4 against 12
+    G = cyclic(1)
+    finest = ((1, 0),) * 4
+    x = LinearCombination({finest: 1, ((1, 0), (3, 0)): 2})
+    y = LinearCombination.basis(((2, 0), (1, 0), (1, 0)))
+    with pytest.raises(SizeLimitError) as caught:
+        invariant_mul(G, x, y, limit=15)
+    assert caught.value.estimate == 16
+    assert invariant_mul(G, x, y, limit=16) == invariant_mul(G, x, y, limit=None)
+
+
 def test_sigma_vector():
     G = cyclic(2)
     vec = sigma_vector(G, ((2, 1), (1, 0)))
@@ -258,3 +346,18 @@ def test_structure_constant_table_n1_color_products():
     for i in range(3):
         for j in range(3):
             assert table["products"][f"{i},{j}"] == [[G.mul(j, i), 1]]
+
+
+@pytest.mark.parametrize("G,n", [(symmetric(3), 2), (klein_four(), 2), (cyclic(3), 3)])
+def test_structure_constant_table_matches_pairwise_products(G, n):
+    # the table computes one row per orbit of recolorings; every entry must
+    # still be the product of its own pair
+    table = structure_constant_table(G, n)
+    basis = list(enumerate_colored_compositions(G, n))
+    index = {comp: i for i, comp in enumerate(basis)}
+    assert len(table["products"]) == len(basis) ** 2
+    for i, left in enumerate(basis):
+        for j, right in enumerate(basis):
+            expansion = sigma_product(G, left, right)
+            assert table["products"][f"{i},{j}"] == sorted(
+                [index[comp], coeff] for comp, coeff in expansion.items())
