@@ -37,7 +37,7 @@ from .partitions import (
     partition_type,
     stirling2,
 )
-from .semigroup import check_identities, idempotents, identity_partition, multiply, power
+from .semigroup import idempotents, identity_partition, multiply, power
 from .wreath import (
     chamber_product_direct,
     chamber_to_wreath,
@@ -74,6 +74,7 @@ from .descent import (
 )
 from .verify import (
     VERIFY_TARGETS,
+    check_identities,
     run_verification,
     verify_antihomomorphism,
     verify_counts,

@@ -10,9 +10,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, isqrt
 
 from .errors import FormatError, GroupAxiomError, SizeLimitError
+from .limits import DEFAULT_LIMIT
 
 
 @dataclass(frozen=True)
@@ -80,9 +81,16 @@ class FiniteGroup:
 
 
 def cyclic(m: int) -> FiniteGroup:
-    """The cyclic group of order m, written additively."""
+    """The cyclic group of order m, written additively; its m*m Cayley
+    table may hold at most ``DEFAULT_LIMIT`` entries."""
     if m < 1:
         raise FormatError(f"cyclic group order must be positive, got {m}")
+    if m * m > DEFAULT_LIMIT:
+        raise SizeLimitError(
+            f"cyclic group order must be at most {isqrt(DEFAULT_LIMIT)} (an m*m Cayley "
+            f"table of at most {DEFAULT_LIMIT} entries), got {m}",
+            estimate=m * m,
+        )
     table = tuple(tuple((a + b) % m for b in range(m)) for a in range(m))
     labels = tuple(str(a) for a in range(m))
     return FiniteGroup(m, table, labels, name=f"cyclic:{m}")

@@ -27,16 +27,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 
 from .errors import InvarianceViolationError
 from .limits import DEFAULT_LIMIT, check_limit
 from .linear import LinearCombination
+from .parsing import render_composition
 from .partitions import (
     ColoredComposition,
     composition_sort_key,
     composition_total,
     count_colored_compositions,
+    count_partitions_of_sizes,
     count_partitions_of_type,
     enumerate_colored_compositions,
     enumerate_partitions_of_type,
@@ -116,17 +117,12 @@ def _walk_skeletons(row_sizes: tuple, col_sizes: tuple):
     return rows(0, col_sizes, (), ())
 
 
-def _multinomial(sizes: tuple) -> int:
-    result = factorial(sum(sizes))
-    for size in sizes:
-        result //= factorial(size)
-    return result
-
-
 # The tables with margins a and b are the double cosets S_a \ S_n / S_b, so
 # there are at most min(n! / a!, n! / b!) of them, where a! is the product
-# of the factorials of a's sizes.  A shape whose bound is
-# over this is walked afresh on each call instead of being held in memory.
+# of the factorials of a's sizes.  A shape whose bound is over this is
+# walked afresh on each call instead of being held in memory.  The bound is
+# decided here, once per shape: on every product it would add two counts to
+# calls that only color a few cells.
 _CACHED_TABLES = 10_000
 
 
@@ -134,7 +130,7 @@ _CACHED_TABLES = 10_000
 def _skeletons(row_sizes: tuple, col_sizes: tuple) -> tuple | None:
     """The skeletons of ``_walk_skeletons`` as a tuple, or None when the
     shape may have more than ``_CACHED_TABLES`` of them."""
-    bound = min(_multinomial(row_sizes), _multinomial(col_sizes))
+    bound = min(count_partitions_of_sizes(row_sizes), count_partitions_of_sizes(col_sizes))
     if bound > _CACHED_TABLES:
         return None
     return tuple(_walk_skeletons(row_sizes, col_sizes))
@@ -275,8 +271,6 @@ def structure_constant_table(group, n: int,
     ``products`` maps "i,j" to a sparse ``[[basis_index, coefficient], ...]``;
     equal products share one list object, so copy an entry before changing it.
     """
-    from .parsing import render_composition
-
     basis_count = count_colored_compositions(n, group.order)
     check_limit(basis_count * basis_count, limit,
                 f"structure constant table at n={n}, |G|={group.order}")

@@ -16,6 +16,7 @@ from .linear import LinearCombination
 from .partitions import (
     ColoredComposition,
     ColoredPartition,
+    composition_sort_key,
     composition_total,
     validate_partition,
 )
@@ -274,8 +275,6 @@ def render_colored_permutation(group, u: ColoredPermutation) -> str:
 def render_combination(group, kind: str, combination: LinearCombination) -> str:
     """Canonical rendering, terms in composition order, e.g.
     ``sigma(2:0) - 3*sigma(1:0|1:1)``."""
-    from .partitions import composition_sort_key
-
     if not combination:
         return "0"
     token = {"sigma": "sigma", "x": "X"}[kind]

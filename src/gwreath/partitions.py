@@ -70,22 +70,9 @@ def validate_partition(partition, group=None, n: int | None = None) -> None:
         raise ValueError(f"blocks must cover 1..{size} exactly, got {sorted(seen)}")
 
 
-def make_partition(blocks) -> ColoredPartition:
-    """Canonicalize: sort members within each block, keep the block order."""
-    return tuple((tuple(sorted(block)), color) for block, color in blocks)
-
-
 def partition_type(partition: ColoredPartition) -> ColoredComposition:
     """Block sizes with their colors, in block order."""
     return tuple((len(block), color) for block, color in partition)
-
-
-def identity_permutation(n: int) -> Permutation:
-    return tuple(range(1, n + 1))
-
-
-def all_permutations(n: int):
-    return itertools.permutations(range(1, n + 1))
 
 
 def compose_permutations(outer: Permutation, inner: Permutation) -> Permutation:
@@ -117,12 +104,16 @@ def count_colored_compositions(n: int, order: int) -> int:
     return sum(comb(n - 1, length - 1) * order**length for length in range(1, n + 1))
 
 
-def count_partitions_of_type(comp: ColoredComposition) -> int:
-    n = composition_total(comp)
-    result = factorial(n)
-    for size, _ in comp:
+def count_partitions_of_sizes(sizes: tuple) -> int:
+    """The multinomial n! / (a_1! a_2! ...) over block sizes a_i summing to n."""
+    result = factorial(sum(sizes))
+    for size in sizes:
         result //= factorial(size)
     return result
+
+
+def count_partitions_of_type(comp: ColoredComposition) -> int:
+    return count_partitions_of_sizes(tuple(size for size, _ in comp))
 
 
 def stirling2(n: int, k: int) -> int:

@@ -7,20 +7,14 @@ composes colors with the right factor's color on the left:
 
 listed row-major over (i, j) with empty intersections omitted.  With one
 color the elements are idempotent; in general x^(|G|+1) = x and
-x*y*x^|G| = x*y hold instead, and ``check_identities`` sweeps them.
+x*y*x^|G| = x*y hold instead; the ``identities`` target in ``verify``
+sweeps them.
 """
 
 from __future__ import annotations
 
-import random
-
-from .limits import DEFAULT_LIMIT, check_limit
-from .partitions import (
-    ColoredPartition,
-    count_colored_partitions,
-    enumerate_colored_partitions,
-    partition_total,
-)
+from .limits import DEFAULT_LIMIT
+from .partitions import ColoredPartition, enumerate_colored_partitions, partition_total
 
 
 def identity_partition(n: int) -> ColoredPartition:
@@ -71,70 +65,3 @@ def idempotents(group, n: int, limit: int | None = DEFAULT_LIMIT):
         for partition in enumerate_colored_partitions(group, n, limit)
         if multiply(group, partition, partition) == partition
     ]
-
-
-def check_identities(group, n: int, mode: str = "exhaustive",
-                     samples: int = 10_000, seed: int = 0,
-                     limit: int | None = DEFAULT_LIMIT) -> dict:
-    """Sweep x^(|G|+1) = x and x*y*x^|G| = x*y over the semigroup.
-
-    Returns a report dict with the first counterexample, if any.  In
-    ``sampled`` mode, ``samples`` pairs are drawn with the given seed and
-    both identities are checked on each pair.
-    """
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-    if mode == "sampled" and samples < 1:
-        raise ValueError(f"sample count must be at least 1, got {samples}")
-    if mode == "exhaustive":
-        check_limit(count_colored_partitions(n, group.order) ** 2, limit,
-                    f"identity sweep over all pairs at n={n}, |G|={group.order}")
-    elements = list(enumerate_colored_partitions(group, n, limit))
-    exponent = group.order
-    report = {
-        "mode": mode,
-        "seed": seed if mode == "sampled" else None,
-        "element_count": len(elements),
-        "pairs_checked": 0,
-        "power_checks": 0,
-        "passed": True,
-        "first_failure": None,
-    }
-
-    def fail(kind, x, y=None):
-        report["passed"] = False
-        report["first_failure"] = {"identity": kind, "x": x, "y": y}
-
-    if mode == "exhaustive":
-        powers = {}
-        for x in elements:
-            x_exp = power(group, x, exponent)
-            powers[x] = x_exp
-            report["power_checks"] += 1
-            if multiply(group, x, x_exp) != x:
-                fail("power", x)
-                return report
-        for x in elements:
-            x_exp = powers[x]
-            for y in elements:
-                report["pairs_checked"] += 1
-                xy = multiply(group, x, y)
-                if multiply(group, xy, x_exp) != xy:
-                    fail("pair", x, y)
-                    return report
-    else:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            x = elements[rng.randrange(len(elements))]
-            y = elements[rng.randrange(len(elements))]
-            x_exp = power(group, x, exponent)
-            report["power_checks"] += 1
-            if multiply(group, x, x_exp) != x:
-                fail("power", x)
-                return report
-            report["pairs_checked"] += 1
-            xy = multiply(group, x, y)
-            if multiply(group, xy, x_exp) != xy:
-                fail("pair", x, y)
-                return report
-    return report

@@ -31,8 +31,8 @@ from gwreath.partitions import (
     enumerate_colored_partitions,
     stirling2,
 )
-from gwreath.semigroup import check_identities, idempotents, identity_partition, multiply, power
-from gwreath.verify import verify_antihomomorphism
+from gwreath.semigroup import idempotents, identity_partition, multiply, power
+from gwreath.verify import check_identities, verify_antihomomorphism
 from gwreath.wreath import (
     chamber_to_wreath,
     count_wreath,
@@ -98,10 +98,10 @@ def test_criterion_3_semigroup_identities():
         for n in (1, 2, 3):
             report = check_identities(group, n, mode="exhaustive")
             if not report["passed"]:
-                failures.append((group.name, n, report["first_failure"]))
+                failures.append((group.name, n, report["failures"]))
     sampled = check_identities(cyclic(2), 4, mode="sampled", samples=10_000, seed=0)
     if not sampled["passed"]:
-        failures.append(("cyclic:2", 4, sampled["first_failure"]))
+        failures.append(("cyclic:2", 4, sampled["failures"]))
     _report(3, "x^(|G|+1) = x and x*y*x^|G| = x*y, exhaustive at n<=3 |G|<=3 "
                "plus 10000 sampled pairs at n=4 |G|=2", failures)
 

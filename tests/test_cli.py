@@ -205,6 +205,17 @@ def test_size_guard_exit_code(capsys):
     assert "limit" in err
 
 
+def test_cyclic_order_over_table_cap_exits_3(capsys):
+    # 2237^2 table entries is over DEFAULT_LIMIT, whatever --limit says
+    code, out, err = run(
+        capsys, "multiply", "--group", "cyclic:2237", "--n", "1", "--limit", "10",
+        "[(1:0)]", "[(1:1)]",
+    )
+    assert code == 3
+    assert out == ""
+    assert "at most 2236" in err
+
+
 def test_negative_limit_is_usage_error(capsys):
     code, _, err = run(
         capsys, "verify", "counts", "--group", "cyclic:2", "--n", "3",

@@ -109,6 +109,12 @@ def test_symmetric_degree_guard():
         symmetric(0)
 
 
+def test_cyclic_order_guard():
+    with pytest.raises(SizeLimitError) as info:
+        cyclic(2237)
+    assert info.value.estimate == 2237 * 2237
+
+
 def test_klein_four_orders():
     G = klein_four()
     assert G.order == 4

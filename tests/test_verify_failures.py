@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import gwreath
 from gwreath.groups import FiniteGroup, cyclic
 from gwreath.linear import LinearCombination
 from gwreath.verify import run_verification
@@ -101,6 +102,35 @@ def test_identities_failure_report_on_non_associative_table():
     report = run_verification("identities", bad, 2)
     assert report["pairs_checked"] == 0
     assert pinned(report) == (False, 1, {"identity": "power", "x": "({1,2}:2)", "y": None})
+
+
+def test_identities_pair_failure_report(monkeypatch):
+    # products of two factors with more than one block each, and with
+    # different block counts, come out with their blocks reversed; powers
+    # (built from the one-block identity, then x*x, x*x^k) never qualify
+    def fake(f):
+        def corrupted(group, left, right):
+            product = f(group, left, right)
+            if len(left) > 1 and len(right) > 1 and len(left) != len(right):
+                return product[::-1]
+            return product
+        return corrupted
+
+    plant(monkeypatch, "multiply", fake)
+    report = run_verification("identities", cyclic(2), 3)
+    assert report["pairs_checked"] == 152
+    assert pinned(report) == (False, 1, {
+        "identity": "pair", "x": "({1}:0|{2,3}:0)", "y": "({2}:0|{1,3}:0)",
+    })
+    sampled = run_verification("identities", cyclic(2), 3, mode="sampled", samples=50, seed=10)
+    assert (sampled["seed"], sampled["pairs_checked"]) == (10, 10)
+    assert pinned(sampled) == (False, 1, {
+        "identity": "pair", "x": "({1}:0|{2,3}:1)", "y": "({2}:1|{3}:0|{1}:0)",
+    })
+
+
+def test_check_identities_is_the_identities_sweep():
+    assert gwreath.check_identities is gwreath.verify_identities
 
 
 @pytest.mark.parametrize("target", ["theorem1", "mobius", "left-ideal"])
