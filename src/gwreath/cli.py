@@ -9,6 +9,8 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 
@@ -17,10 +19,7 @@ from .groups import group_from_spec
 from .invariant import invariant_mul, structure_constant_table
 from .limits import DEFAULT_LIMIT
 from .parsing import (
-    detect_kind,
-    parse_colored_permutation,
-    parse_combination,
-    parse_partition,
+    parse_operand,
     render_colored_permutation,
     render_combination,
     render_partition,
@@ -30,52 +29,42 @@ from .verify import VERIFY_TARGETS, run_verification
 from .wreath import wreath_mul
 
 
-def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+def _emit(payload: str | dict, out_path: str | None) -> None:
+    """Write text, or a dict as indented JSON, then a newline, to ``out_path``
+    or stdout.  JSON is streamed, never built as one string: the encoder's
+    tiny chunks are joined a few thousand at a time, so that an unbuffered
+    stdout (``python -u``) takes one write per batch, not one per chunk."""
+    with (open(out_path, "w", encoding="utf-8") if out_path
+          else contextlib.nullcontext(sys.stdout)) as handle:
+        if isinstance(payload, dict):
+            chunks = json.JSONEncoder(
+                indent=2, sort_keys=True, ensure_ascii=False).iterencode(payload)
+            for batch in iter(lambda: "".join(itertools.islice(chunks, 4096)), ""):
+                handle.write(batch)
+        else:
+            handle.write(payload)
+        handle.write("\n")
 
 
 def cmd_multiply(args) -> int:
     group = group_from_spec(args.group)
-    lhs_kind = detect_kind(args.lhs)
-    rhs_kind = detect_kind(args.rhs)
-    if lhs_kind != rhs_kind:
-        raise FormatError(f"operands have different kinds: {lhs_kind} vs {rhs_kind}")
+    kind, lhs = parse_operand(args.lhs, group, args.n)
+    rhs_kind, rhs = parse_operand(args.rhs, group, args.n)
+    if kind != rhs_kind:
+        raise FormatError(f"operands have different kinds: {kind} vs {rhs_kind}")
 
-    if lhs_kind == "partition":
-        lhs = parse_partition(args.lhs, group, args.n)
-        rhs = parse_partition(args.rhs, group, args.n)
+    if kind == "partition":
         rendered = render_partition(group, multiply(group, lhs, rhs))
-        kind = "partition"
-    elif lhs_kind == "wreath":
-        lhs = parse_colored_permutation(args.lhs, group, args.n)
-        rhs = parse_colored_permutation(args.rhs, group, args.n)
+    elif kind == "wreath":
         rendered = render_colored_permutation(group, wreath_mul(group, lhs, rhs))
-        kind = "wreath"
     else:
-        lhs_atom_kind, lhs = parse_combination(args.lhs, group, args.n)
-        rhs_atom_kind, rhs = parse_combination(args.rhs, group, args.n)
-        if lhs_atom_kind != rhs_atom_kind:
-            raise FormatError(
-                f"operands have different kinds: {lhs_atom_kind} vs {rhs_atom_kind}"
-            )
-        kind = lhs_atom_kind
-        if kind == "sigma":
-            product = invariant_mul(group, lhs, rhs, args.limit)
-        else:
+        if kind == "x":
             # Theorem 1: X_a * X_b has the coordinates of sigma_b * sigma_a
-            product = invariant_mul(group, rhs, lhs, args.limit)
-        rendered = render_combination(group, kind, product)
+            lhs, rhs = rhs, lhs
+        rendered = render_combination(group, kind, invariant_mul(group, lhs, rhs, args.limit))
 
     if args.format == "json":
-        payload = {
+        _emit({
             "schema_version": 1,
             "command": "multiply",
             "group": group.name,
@@ -84,8 +73,7 @@ def cmd_multiply(args) -> int:
             "lhs": args.lhs.strip(),
             "rhs": args.rhs.strip(),
             "product": rendered,
-        }
-        _emit(_dump(payload), args.out)
+        }, args.out)
     else:
         _emit(rendered, args.out)
     return 0
@@ -93,8 +81,7 @@ def cmd_multiply(args) -> int:
 
 def cmd_structure_constants(args) -> int:
     group = group_from_spec(args.group)
-    table = structure_constant_table(group, args.n, args.limit)
-    _emit(_dump(table), args.out)
+    _emit(structure_constant_table(group, args.n, args.limit), args.out)
     return 0
 
 
@@ -109,13 +96,10 @@ def cmd_verify(args) -> int:
         f"{status} {args.target} group={group.name} n={args.n} "
         f"checked={report['pairs_checked']} failures={len(report['failures'])}"
     )
-    if args.out:
-        _emit(_dump(report), args.out)
-        print(summary)
-    elif args.format == "json":
-        print(_dump(report))
-    else:
-        print(summary)
+    if args.out or args.format == "json":
+        _emit(report, args.out)
+    if args.out or args.format == "text":
+        _emit(summary, None)
     return 0 if report["passed"] else 1
 
 

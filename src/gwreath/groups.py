@@ -103,11 +103,11 @@ def symmetric(m: int) -> FiniteGroup:
     the identity.  The table composes right-to-left: ``table[i][j]`` is the
     permutation sending x to p_i(p_j(x)).
     """
-    if not 1 <= m <= 5:
-        raise SizeLimitError(
-            f"symmetric group degree must be between 1 and 5, got {m}",
-            estimate=factorial(m) if m > 0 else 0,
-        )
+    message = f"symmetric group degree must be between 1 and 5, got {m}"
+    if m < 1:
+        raise FormatError(message)
+    if m > 5:
+        raise SizeLimitError(message)
     perms = sorted(itertools.permutations(range(1, m + 1)))
     index = {p: i for i, p in enumerate(perms)}
     table = tuple(

@@ -14,8 +14,12 @@ DEFAULT_LIMIT = 5_000_000
 
 def check_limit(estimate: int, limit: int | None, what: str) -> None:
     if limit is not None and estimate > limit:
+        try:
+            shown = str(estimate)
+        except ValueError:  # more digits than Python converts to text
+            shown = f"2**{estimate.bit_length() - 1} or more"
         raise SizeLimitError(
-            f"{what} would produce an estimated {estimate} items, over the "
+            f"{what} would produce an estimated {shown} items, over the "
             f"limit of {limit}; raise the limit (or pass limit=None) to force",
             estimate=estimate,
         )

@@ -251,6 +251,19 @@ def detect_kind(text: str) -> str:
     return "combination"
 
 
+def parse_operand(text: str, group, n: int | None = None):
+    """Parse any operand the CLI multiplies.
+
+    Returns ``(kind, value)`` with kind "partition", "wreath", "sigma" or "x".
+    """
+    kind = detect_kind(text)
+    if kind == "partition":
+        return kind, parse_partition(text, group, n)
+    if kind == "wreath":
+        return kind, parse_colored_permutation(text, group, n)
+    return parse_combination(text, group, n)
+
+
 # ---------------------------------------------------------------------------
 # renderers (canonical text, inverse to the parsers)
 

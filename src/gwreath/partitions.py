@@ -75,18 +75,6 @@ def partition_type(partition: ColoredPartition) -> ColoredComposition:
     return tuple((len(block), color) for block, color in partition)
 
 
-def compose_permutations(outer: Permutation, inner: Permutation) -> Permutation:
-    """Function composition: the result maps i to outer(inner(i))."""
-    return tuple(outer[x - 1] for x in inner)
-
-
-def invert_permutation(perm: Permutation) -> Permutation:
-    result = [0] * len(perm)
-    for i, value in enumerate(perm, start=1):
-        result[value - 1] = i
-    return tuple(result)
-
-
 def apply_permutation(perm: Permutation, partition: ColoredPartition) -> ColoredPartition:
     """Relabel block members through the permutation; colors and block order stay."""
     n = partition_total(partition)
@@ -101,14 +89,18 @@ def apply_permutation(perm: Permutation, partition: ColoredPartition) -> Colored
 # counting
 
 def count_colored_compositions(n: int, order: int) -> int:
-    return sum(comb(n - 1, length - 1) * order**length for length in range(1, n + 1))
+    """sum_k C(n-1, k-1) order^k in closed form: the first part takes one of
+    ``order`` colors, and each of the n-1 gaps is either no cut or a cut that
+    opens a part of one of ``order`` colors."""
+    return order * (order + 1) ** (n - 1)
 
 
 def count_partitions_of_sizes(sizes: tuple) -> int:
     """The multinomial n! / (a_1! a_2! ...) over block sizes a_i summing to n."""
-    result = factorial(sum(sizes))
+    result, total = 1, 0
     for size in sizes:
-        result //= factorial(size)
+        total += size
+        result *= comb(total, size)
     return result
 
 
@@ -227,35 +219,21 @@ def is_refinement(fine: ColoredComposition, coarse: ColoredComposition) -> bool:
     return i == len(fine)
 
 
-def _merges_of_run(sizes):
-    """All ways to merge a run of same-colored parts into consecutive groups."""
-    r = len(sizes)
-    for cuts in itertools.product((False, True), repeat=r - 1):
-        merged = []
-        acc = sizes[0]
-        for keep_cut, size in zip(cuts, sizes[1:]):
-            if keep_cut:
-                merged.append(acc)
-                acc = size
-            else:
-                acc += size
-        merged.append(acc)
-        yield tuple(merged)
-
-
 def coarsenings(comp: ColoredComposition):
     """All compositions obtainable by merging adjacent same-colored parts,
     including ``comp`` itself.  These are exactly the compositions that
     ``comp`` refines."""
     validate_composition(comp)
-    runs = []
-    for color, run in itertools.groupby(comp, key=lambda part: part[1]):
-        runs.append((color, tuple(size for size, _ in run)))
+    same_color = [comp[i][1] == comp[i - 1][1] for i in range(1, len(comp))]
     results = []
-    per_run = [
-        [tuple((size, color) for size in merged) for merged in _merges_of_run(sizes)]
-        for color, sizes in runs
-    ]
-    for choice in itertools.product(*per_run):
-        results.append(tuple(itertools.chain.from_iterable(choice)))
+    # one flag per join of same-colored neighbours: False merges, True keeps
+    for kept in itertools.product((False, True), repeat=sum(same_color)):
+        keep = iter(kept)
+        parts = [comp[0]]
+        for same, (size, color) in zip(same_color, comp[1:]):
+            if same and not next(keep):
+                parts[-1] = (parts[-1][0] + size, color)
+            else:
+                parts.append((size, color))
+        results.append(tuple(parts))
     return results

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from gwreath.cli import main
+from gwreath.groups import group_from_spec
+from gwreath.invariant import structure_constant_table
 
 
 def run(capsys, *argv):
@@ -128,6 +130,16 @@ def test_multiply_kind_mismatch(capsys):
     assert "kind" in err
 
 
+def test_multiply_kind_mismatch_names_both_kinds(capsys):
+    code, out, err = run(
+        capsys, "multiply", "--group", "cyclic:2", "--n", "2",
+        "sigma(2:0)", "({1,2}:1)",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: operands have different kinds: sigma vs partition\n"
+
+
 def test_multiply_parse_error_exit_code(capsys):
     code, _, err = run(
         capsys, "multiply", "--group", "cyclic:2", "--n", "2",
@@ -216,6 +228,34 @@ def test_cyclic_order_over_table_cap_exits_3(capsys):
     assert "at most 2236" in err
 
 
+@pytest.mark.parametrize("spec,code", [
+    ("symmetric:0", 2), ("symmetric:-1", 2), ("symmetric:100000", 3),
+])
+def test_symmetric_degree_exit_codes(capsys, spec, code):
+    got, out, err = run(
+        capsys, "multiply", "--group", spec, "--n", "1", "[(1:0)]", "[(1:0)]",
+    )
+    assert got == code
+    assert out == ""
+    assert "between 1 and 5" in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    # one part of size 10^6: the multinomial estimate is 1, built from comb
+    (("multiply", "--group", "cyclic:1", "--n", "1000000",
+      "sigma(1000000:0)", "sigma(1000000:0)"), 0),
+    # a basis of 2 * 3^19999 compositions, counted in closed form
+    (("structure-constants", "--group", "cyclic:2", "--n", "20000"), 3),
+    # an estimate of more digits than Python turns into text
+    (("verify", "prop1", "--group", "cyclic:2", "--n", "9100"), 3),
+])
+def test_huge_n_is_decided_by_the_estimate_alone(capsys, argv, code):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code == 3:
+        assert "or more items" in err
+
+
 def test_negative_limit_is_usage_error(capsys):
     code, _, err = run(
         capsys, "verify", "counts", "--group", "cyclic:2", "--n", "3",
@@ -253,6 +293,23 @@ def test_structure_constants_deterministic(capsys):
     _, out_a, _ = run(capsys, *args)
     _, out_b, _ = run(capsys, *args)
     assert out_a == out_b
+
+
+@pytest.mark.parametrize("spec,n", [("cyclic:2", 3), ("symmetric:3", 2)])
+def test_structure_constants_bytes_on_stdout_and_out(tmp_path, capsys, spec, n):
+    expected = json.dumps(
+        structure_constant_table(group_from_spec(spec), n),
+        indent=2, sort_keys=True, ensure_ascii=False,
+    ) + "\n"
+    code, out, _ = run(capsys, "structure-constants", "--group", spec, "--n", str(n))
+    assert code == 0
+    assert out == expected
+    path = tmp_path / "table.json"
+    code, out, _ = run(capsys, "structure-constants", "--group", spec, "--n", str(n),
+                       "--out", str(path))
+    assert code == 0
+    assert out == ""
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_usage_error_exit_code(capsys):

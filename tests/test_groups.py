@@ -106,7 +106,11 @@ def test_symmetric_degree_guard():
     with pytest.raises(SizeLimitError):
         symmetric(6)
     with pytest.raises(SizeLimitError):
+        symmetric(10**9)  # refused without computing the group's order
+    with pytest.raises(FormatError):
         symmetric(0)
+    with pytest.raises(FormatError):
+        symmetric(-1)
 
 
 def test_cyclic_order_guard():

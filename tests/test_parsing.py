@@ -8,6 +8,7 @@ from gwreath.parsing import (
     parse_colored_permutation,
     parse_combination,
     parse_composition,
+    parse_operand,
     parse_partition,
     render_colored_permutation,
     render_combination,
@@ -161,3 +162,14 @@ def test_detect_kind():
     assert detect_kind("2*x(2:0)") == "combination"
     with pytest.raises(ParseError):
         detect_kind("(2:0)")
+
+
+def test_parse_operand_kinds():
+    G = cyclic(2)
+    assert parse_operand(" ({1}:1|{2}:0)", G, 2) == ("partition", (((1,), 1), ((2,), 0)))
+    assert parse_operand("[(2:1)(1:0)]", G, 2) == ("wreath", ((2, 1), (1, 0)))
+    assert parse_operand("sigma(2:0) - sigma(1:1|1:0)", G, 2) == (
+        "sigma", LinearCombination({((2, 0),): 1, ((1, 1), (1, 0)): -1}))
+    assert parse_operand("2*X(2:1)", G, 2) == ("x", LinearCombination({((2, 1),): 2}))
+    with pytest.raises(ParseError, match="bare"):
+        parse_operand("(2:0)", G, 2)

@@ -7,18 +7,18 @@ from hypothesis import strategies as st
 
 from gwreath.errors import SizeLimitError
 from gwreath.groups import cyclic, klein_four
+from gwreath.limits import check_limit
 from gwreath.partitions import (
     apply_permutation,
     coarsenings,
-    compose_permutations,
     composition_sort_key,
     count_colored_compositions,
     count_colored_partitions,
+    count_partitions_of_sizes,
     count_partitions_of_type,
     enumerate_colored_compositions,
     enumerate_colored_partitions,
     enumerate_partitions_of_type,
-    invert_permutation,
     is_refinement,
     partition_type,
     stirling2,
@@ -82,17 +82,10 @@ def test_action_is_compatible_with_composition(data):
     G = cyclic(2)
     parts = list(enumerate_colored_partitions(G, n))
     partition = data.draw(st.sampled_from(parts))
-    composed = compose_permutations(pi, rho)
+    composed = tuple(pi[x - 1] for x in rho)  # x -> pi(rho(x))
     assert apply_permutation(composed, partition) == apply_permutation(
         pi, apply_permutation(rho, partition)
     )
-
-
-def test_invert_permutation():
-    for pi in permutations(range(1, 5)):
-        inv = invert_permutation(pi)
-        assert compose_permutations(pi, inv) == (1, 2, 3, 4)
-        assert compose_permutations(inv, pi) == (1, 2, 3, 4)
 
 
 def test_type_is_action_invariant():
@@ -187,11 +180,37 @@ def test_stirling_against_bruteforce(n, k):
     assert stirling2(n, k) == oracle_stirling2(n, k)
 
 
+def test_composition_count_closed_form_matches_sum():
+    for n in range(1, 40):
+        for order in range(1, 12):
+            assert count_colored_compositions(n, order) == sum(
+                math.comb(n - 1, length - 1) * order**length for length in range(1, n + 1)
+            )
+
+
+def test_partitions_of_sizes_matches_factorials():
+    for sizes in [(1,), (5,), (2, 3), (1, 1, 1, 1), (3, 1, 4, 1, 5), (7, 2, 2, 9)]:
+        expected = math.factorial(sum(sizes))
+        for size in sizes:
+            expected //= math.factorial(size)
+        assert count_partitions_of_sizes(sizes) == expected
+    # a single huge block is one partition, with no factorial to compute
+    assert count_partitions_of_sizes((10**6,)) == 1
+
+
 def test_size_guard_trips():
     with pytest.raises(SizeLimitError) as err:
         list(enumerate_colored_partitions(cyclic(2), 10, limit=100))
     assert err.value.estimate is not None
     assert str(err.value.estimate) in str(err.value)
+
+
+def test_size_guard_refuses_estimates_too_long_to_print():
+    estimate = 10**5000  # over Python's 4300-digit int-to-text default
+    with pytest.raises(SizeLimitError) as err:
+        check_limit(estimate, 10, "things")
+    assert err.value.estimate == estimate
+    assert "an estimated 2**16609 or more items" in str(err.value)
 
 
 # --- the refinement order ---------------------------------------------------
@@ -276,6 +295,20 @@ def test_coarsenings_single_part():
 def test_coarsenings_two_equal_colors():
     got = set(coarsenings(((1, 1), (1, 1))))
     assert got == {((1, 1), (1, 1)), ((2, 1),)}
+
+
+def test_coarsenings_order_over_two_runs():
+    # joins of same-colored neighbours, left to right, merged before kept
+    assert coarsenings(((1, 0), (2, 0), (1, 1), (1, 0), (1, 0), (3, 0))) == [
+        ((3, 0), (1, 1), (5, 0)),
+        ((3, 0), (1, 1), (2, 0), (3, 0)),
+        ((3, 0), (1, 1), (1, 0), (4, 0)),
+        ((3, 0), (1, 1), (1, 0), (1, 0), (3, 0)),
+        ((1, 0), (2, 0), (1, 1), (5, 0)),
+        ((1, 0), (2, 0), (1, 1), (2, 0), (3, 0)),
+        ((1, 0), (2, 0), (1, 1), (1, 0), (4, 0)),
+        ((1, 0), (2, 0), (1, 1), (1, 0), (1, 0), (3, 0)),
+    ]
 
 
 def test_coarsenings_blocked_by_colors():
