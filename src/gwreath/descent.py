@@ -107,12 +107,9 @@ def y_from_x(group, comp: ColoredComposition,
 
 def group_algebra_mul(group, x: LinearCombination, y: LinearCombination) -> LinearCombination:
     """Bilinear extension of the wreath product to the group algebra."""
-    acc: dict = {}
-    for u, a in x.items():
-        for v, b in y.items():
-            key = wreath_mul(group, u, v)
-            acc[key] = acc.get(key, 0) + a * b
-    return LinearCombination(acc)
+    return LinearCombination(
+        (wreath_mul(group, u, v), a * b) for u, a in x.items() for v, b in y.items()
+    )
 
 
 def sigma_to_x(group, x: LinearCombination,
@@ -147,8 +144,7 @@ def express_in_x_basis(group, n: int, z: LinearCombination,
                     f"composition {comp} carry coefficients {first} and {value}",
                     witness=(fiber[0], u),
                 )
-        if first:
-            y_coords[comp] = first
+        y_coords[comp] = first
     return y_to_x(y_coords)
 
 
@@ -162,8 +158,7 @@ def sigma_act_on_chamber(group, comp: ColoredComposition, v: ColoredPermutation,
     """
     validate_composition(comp, group)
     chamber = wreath_to_chamber(v)
-    acc: dict = {}
-    for p in enumerate_partitions_of_type(comp, limit):
-        u = chamber_to_wreath(multiply(group, p, chamber))
-        acc[u] = acc.get(u, 0) + 1
-    return LinearCombination(acc)
+    return LinearCombination(
+        (chamber_to_wreath(multiply(group, p, chamber)), 1)
+        for p in enumerate_partitions_of_type(comp, limit)
+    )

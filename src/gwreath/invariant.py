@@ -229,8 +229,7 @@ def sigma_product_bruteforce(group, left: ColoredComposition,
                     f"type fiber {comp} has non-constant coefficients: "
                     f"{fiber[0]} -> {first} but {partition} -> {value}"
                 )
-        if first:
-            coeffs[comp] = first
+        coeffs[comp] = first
     return LinearCombination(coeffs)
 
 

@@ -1,10 +1,14 @@
 """Sparse integer linear combinations over hashable basis keys.
 
 Coefficients are plain Python ints, so arithmetic is exact at any size.
-Zero coefficients are never stored; equality is term-set equality.
+Zero coefficients are never stored; equality is term-set equality.  The
+constructor is the one place that sums repeated keys and drops zeros: every
+operator builds its result from (key, coefficient) pairs through it.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 
 class LinearCombination:
@@ -59,35 +63,24 @@ class LinearCombination:
     def __add__(self, other) -> "LinearCombination":
         if not isinstance(other, LinearCombination):
             return NotImplemented
-        data = dict(self._terms)
-        for key, coeff in other._terms.items():
-            value = data.get(key, 0) + coeff
-            if value:
-                data[key] = value
-            else:
-                del data[key]
-        result = LinearCombination()
-        result._terms = data
-        return result
+        return LinearCombination(chain(self._terms.items(), other._terms.items()))
 
     def __neg__(self) -> "LinearCombination":
-        result = LinearCombination()
-        result._terms = {key: -coeff for key, coeff in self._terms.items()}
-        return result
+        return self * -1
 
     def __sub__(self, other) -> "LinearCombination":
         if not isinstance(other, LinearCombination):
             return NotImplemented
-        return self + (-other)
+        return LinearCombination(chain(
+            self._terms.items(), ((key, -coeff) for key, coeff in other._terms.items())
+        ))
 
     def __mul__(self, scalar) -> "LinearCombination":
         if not isinstance(scalar, int):
             return NotImplemented
-        if scalar == 0:
-            return LinearCombination()
-        result = LinearCombination()
-        result._terms = {key: scalar * coeff for key, coeff in self._terms.items()}
-        return result
+        return LinearCombination(
+            (key, scalar * coeff) for key, coeff in self._terms.items()
+        )
 
     __rmul__ = __mul__
 

@@ -14,7 +14,7 @@ Colors are element indices into a :class:`~gwreath.groups.FiniteGroup`.
 from __future__ import annotations
 
 import itertools
-from math import comb, factorial
+from math import comb
 
 from .limits import DEFAULT_LIMIT, check_limit
 
@@ -27,7 +27,7 @@ def composition_total(comp: ColoredComposition) -> int:
     return sum(size for size, _ in comp)
 
 
-def validate_composition(comp, group=None, n: int | None = None) -> None:
+def validate_composition(comp, group=None) -> None:
     if len(comp) == 0:
         raise ValueError("a colored composition must have at least one part")
     for part in comp:
@@ -38,8 +38,6 @@ def validate_composition(comp, group=None, n: int | None = None) -> None:
             raise ValueError(f"part sizes must be positive integers, got {size!r}")
         if group is not None and not 0 <= color < group.order:
             raise ValueError(f"color {color!r} out of range 0..{group.order - 1}")
-    if n is not None and composition_total(comp) != n:
-        raise ValueError(f"composition sums to {composition_total(comp)}, expected {n}")
 
 
 def partition_total(partition: ColoredPartition) -> int:
@@ -119,9 +117,15 @@ def stirling2(n: int, k: int) -> int:
 
 
 def count_colored_partitions(n: int, order: int) -> int:
-    return sum(
-        factorial(k) * stirling2(n, k) * order**k for k in range(1, n + 1)
-    )
+    """sum_k k! S(n, k) order^k, from the one Stirling row S(n, 0..n)."""
+    row = [1]
+    for m in range(1, n + 1):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, m)] + [1]
+    total, weight = 0, 1
+    for k in range(1, n + 1):
+        weight *= k * order
+        total += weight * row[k]
+    return total
 
 
 # ---------------------------------------------------------------------------

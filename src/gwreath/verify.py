@@ -16,6 +16,7 @@ runs ``descent_fibers`` once and reads them all off that pass.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from .descent import (
     descent_fibers,
@@ -83,11 +84,16 @@ def _pairs(items: list, mode: str, samples: int, seed: int):
     return pairs, seed
 
 
-def _first_difference(left: LinearCombination, right: LinearCombination):
-    """The least basis key where two unequal combinations differ, and the
-    coefficient of each side there."""
-    key = min((left - right).keys())
-    return key, left.coefficient(key), right.coefficient(key)
+def _difference(one: LinearCombination, other: LinearCombination, render_key,
+                names: tuple) -> dict:
+    """Failure fields for two combinations: the least basis key where they
+    differ, rendered, and the coefficient of each side there under
+    ``names``; an empty dict when they agree."""
+    if one == other:
+        return {}
+    key = min((one - other).keys())
+    return {"key": render_key(key), names[0]: one.coefficient(key),
+            names[1]: other.coefficient(key)}
 
 
 def verify_identities(group, n: int, mode: str = "exhaustive", samples: int = 10_000,
@@ -147,21 +153,16 @@ def verify_prop1(group, n: int, mode: str = "exhaustive", samples: int = 200,
     if mode == "exhaustive":
         check_limit(len(comps) ** 2, limit,
                     f"product-rule sweep over composition pairs at n={n}")
+    render = partial(render_composition, group)
     pairs, used_seed = _pairs(comps, mode, samples, seed)
     failures, checked = [], 0
     for a, b in pairs:
         checked += 1
-        fast = sigma_product(group, a, b)
-        brute = sigma_product_bruteforce(group, a, b, limit=limit)
-        if fast != brute:
-            key, fast_coeff, brute_coeff = _first_difference(fast, brute)
-            failures.append({
-                "left": render_composition(group, a),
-                "right": render_composition(group, b),
-                "key": render_composition(group, key),
-                "matrix_rule": fast_coeff,
-                "bruteforce": brute_coeff,
-            })
+        difference = _difference(sigma_product(group, a, b),
+                                 sigma_product_bruteforce(group, a, b, limit=limit),
+                                 render, ("matrix_rule", "bruteforce"))
+        if difference:
+            failures.append({"left": render(a), "right": render(b), **difference})
     return _envelope("prop1", group, n, mode, used_seed, checked, failures)
 
 
@@ -170,18 +171,14 @@ def verify_mobius(group, n: int, limit: int | None = DEFAULT_LIMIT) -> dict:
     must equal the sum over its descent fiber, for every composition."""
     comps = list(enumerate_colored_compositions(group, n, limit))
     fibers = descent_fibers(group, n, limit)
+    render = partial(render_colored_permutation, group)
     failures = []
     for comp in comps:
-        direct = LinearCombination((u, 1) for u in fibers.get(comp, ()))
-        inverted = expand_x(fibers, y_to_x({comp: 1}))
-        if direct != inverted:
-            key, direct_coeff, inverted_coeff = _first_difference(direct, inverted)
-            failures.append({
-                "composition": render_composition(group, comp),
-                "key": render_colored_permutation(group, key),
-                "direct": direct_coeff,
-                "inverted": inverted_coeff,
-            })
+        difference = _difference(LinearCombination((u, 1) for u in fibers.get(comp, ())),
+                                 expand_x(fibers, y_to_x({comp: 1})),
+                                 render, ("direct", "inverted"))
+        if difference:
+            failures.append({"composition": render_composition(group, comp), **difference})
     return _envelope("mobius", group, n, "exhaustive", None, len(comps), failures)
 
 
@@ -196,30 +193,31 @@ def verify_antihomomorphism(group, n: int, mode: str = "exhaustive",
     """
     _check_sampling(mode, samples)
     comps = list(enumerate_colored_compositions(group, n, limit))
-    if mode == "exhaustive":
-        check_limit(len(comps) ** 2 * count_wreath(n, group.order), limit,
-                    f"exhaustive anti-homomorphism sweep at n={n}, |G|={group.order}")
+    # the X vectors hold one term per colored partition in all, and the
+    # exhaustive sweep multiplies every X vector by every other
+    x_terms = count_colored_partitions(n, group.order)
+    check_limit(x_terms ** 2 if mode == "exhaustive" else x_terms, limit,
+                f"{mode} anti-homomorphism sweep at n={n}, |G|={group.order}")
     fibers = descent_fibers(group, n, limit)
     x_vectors = {comp: expand_x(fibers, {comp: 1}) for comp in comps}
+    render = partial(render_composition, group)
+    render_key = partial(render_colored_permutation, group)
+    what = f"group-algebra product of two X vectors at n={n}, |G|={group.order}"
     pairs, used_seed = _pairs(comps, mode, samples, seed)
     failures, checked = [], 0
     for a, b in pairs:
         checked += 1
+        check_limit(len(x_vectors[b]) * len(x_vectors[a]), limit, what)
         lhs = LinearCombination(
             (u, coeff * c)
             for comp, coeff in sigma_product(group, a, b).items()
             for u, c in x_vectors[comp].items()
         )
         rhs = group_algebra_mul(group, x_vectors[b], x_vectors[a])
-        if lhs != rhs:
-            key, lhs_coeff, rhs_coeff = _first_difference(lhs, rhs)
-            failures.append({
-                "left": render_composition(group, a),
-                "right": render_composition(group, b),
-                "key": render_colored_permutation(group, key),
-                "lhs_coefficient": lhs_coeff,
-                "rhs_coefficient": rhs_coeff,
-            })
+        difference = _difference(lhs, rhs, render_key,
+                                 ("lhs_coefficient", "rhs_coefficient"))
+        if difference:
+            failures.append({"left": render(a), "right": render(b), **difference})
     return _envelope("theorem1", group, n, mode, used_seed, checked, failures)
 
 

@@ -217,6 +217,19 @@ def test_size_guard_exit_code(capsys):
     assert "limit" in err
 
 
+@pytest.mark.parametrize("extra", [
+    # exhaustive: 4,683**2 X term pairs, though only 32 compositions
+    ("--n", "6"),
+    # sampled: the one drawn pair would multiply 12,700,800 term pairs
+    ("--n", "7", "--mode", "sampled", "--samples", "1", "--seed", "83"),
+])
+def test_theorem1_guard_counts_x_terms(capsys, extra):
+    code, out, err = run(capsys, "verify", "theorem1", "--group", "cyclic:1", *extra)
+    assert code == 3
+    assert out == ""
+    assert "limit of 5000000" in err
+
+
 def test_cyclic_order_over_table_cap_exits_3(capsys):
     # 2237^2 table entries is over DEFAULT_LIMIT, whatever --limit says
     code, out, err = run(

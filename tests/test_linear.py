@@ -47,6 +47,12 @@ def test_scalar_multiplication():
     assert 0 * a == LinearCombination()
 
 
+@given(combos, combos, st.integers(min_value=-9, max_value=9))
+def test_results_never_hold_a_zero_coefficient(a, b, r):
+    for result in (a + b, a - b, -a, r * a, a * r, a - a):
+        assert all(coeff != 0 for _, coeff in result.items())
+
+
 @given(combos, combos, combos)
 def test_addition_laws(a, b, c):
     assert a + b == b + a

@@ -188,6 +188,14 @@ def test_composition_count_closed_form_matches_sum():
             )
 
 
+def test_partition_count_from_one_row_matches_sum():
+    for n in range(0, 60):
+        for order in range(0, 8):
+            assert count_colored_partitions(n, order) == sum(
+                math.factorial(k) * stirling2(n, k) * order**k for k in range(1, n + 1)
+            )
+
+
 def test_partitions_of_sizes_matches_factorials():
     for sizes in [(1,), (5,), (2, 3), (1, 1, 1, 1), (3, 1, 4, 1, 5), (7, 2, 2, 9)]:
         expected = math.factorial(sum(sizes))
