@@ -14,7 +14,8 @@ Colors are element indices into a :class:`~gwreath.groups.FiniteGroup`.
 from __future__ import annotations
 
 import itertools
-from math import comb
+from functools import lru_cache
+from math import comb, factorial
 
 from .limits import DEFAULT_LIMIT, check_limit
 
@@ -128,6 +129,15 @@ def count_colored_partitions(n: int, order: int) -> int:
     return total
 
 
+def colored_partition_estimates(n: int, order: int):
+    """Yield the k = n term of ``count_colored_partitions``, n! * order^n,
+    then the exact count.  The term is a lower bound that costs a
+    factorial, the count costs O(n^2) big-integer steps, so a size guard
+    that checks both in turn refuses a large n on the term alone."""
+    yield factorial(n) * order**n
+    yield count_colored_partitions(n, order)
+
+
 # ---------------------------------------------------------------------------
 # enumeration, always in canonical order
 
@@ -170,16 +180,36 @@ def _partitions_by_sizes(available, sizes):
             yield (block, *rest)
 
 
+# The blocks of a type depend only on its sizes, so ``_blocks_of_sizes``
+# lists them once per size sequence and every coloring of that sequence
+# zips its colors onto the same list.  A shape whose partitions hold more
+# than this many points in all (count times n) is walked afresh on each
+# call instead, so a lazy enumeration at large n pins no list.
+_CACHED_POINTS = 100_000
+
+
+@lru_cache(maxsize=1024)
+def _blocks_of_sizes(sizes: tuple) -> tuple | None:
+    """The block tuples of ``_partitions_by_sizes`` over 1..n as a tuple, or
+    None when the shape is over ``_CACHED_POINTS``."""
+    n = sum(sizes)
+    if count_partitions_of_sizes(sizes) * n > _CACHED_POINTS:
+        return None
+    return tuple(_partitions_by_sizes(tuple(range(1, n + 1)), sizes))
+
+
 def enumerate_partitions_of_type(comp: ColoredComposition,
                                  limit: int | None = DEFAULT_LIMIT):
     """All ordered colored partitions whose type is exactly ``comp``."""
     validate_composition(comp)
     check_limit(count_partitions_of_type(comp), limit,
                 f"partitions of type {comp}")
-    n = composition_total(comp)
     sizes = tuple(s for s, _ in comp)
     colors = tuple(c for _, c in comp)
-    for blocks in _partitions_by_sizes(tuple(range(1, n + 1)), sizes):
+    all_blocks = _blocks_of_sizes(sizes)
+    if all_blocks is None:
+        all_blocks = _partitions_by_sizes(tuple(range(1, sum(sizes) + 1)), sizes)
+    for blocks in all_blocks:
         yield tuple(zip(blocks, colors))
 
 
@@ -187,8 +217,9 @@ def enumerate_colored_partitions(group, n: int, limit: int | None = DEFAULT_LIMI
     """All ordered colored partitions of {1..n}, grouped by type."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    check_limit(count_colored_partitions(n, group.order), limit,
-                f"ordered colored partitions of {n} over a group of order {group.order}")
+    for estimate in colored_partition_estimates(n, group.order):
+        check_limit(estimate, limit,
+                    f"ordered colored partitions of {n} over a group of order {group.order}")
     for comp in enumerate_colored_compositions(group, n, limit=None):
         yield from enumerate_partitions_of_type(comp, limit=None)
 

@@ -25,25 +25,40 @@ def identity_partition(n: int) -> ColoredPartition:
 
 
 def multiply(group, left: ColoredPartition, right: ColoredPartition) -> ColoredPartition:
-    n = partition_total(left)
-    if partition_total(right) != n:
-        raise ValueError(
-            f"partitions of different ground sets: 1..{n} vs 1..{partition_total(right)}"
-        )
+    """The product ``left * right``.  A singleton left block is kept as it
+    is; any other is split by the right blocks in their order.  The right
+    factor's color multiplies on the left; for non-abelian colors this order
+    is the whole ballgame."""
+    mul = group.mul
     # which right-factor block each point sits in
-    right_block_of = [0] * (n + 1)
+    block_of = {}
     for j, (block, _) in enumerate(right):
         for x in block:
-            right_block_of[x] = j
+            block_of[x] = j
+    size = 0  # points of the left factor seen so far
     cells = []
-    for block, left_color in left:
-        buckets: dict[int, list[int]] = {}
-        for x in block:
-            buckets.setdefault(right_block_of[x], []).append(x)
-        for j in sorted(buckets):
-            # right factor's color multiplies on the left; for non-abelian
-            # colors this order is the whole ballgame
-            cells.append((tuple(buckets[j]), group.mul(right[j][1], left_color)))
+    try:
+        for block, left_color in left:
+            size += len(block)
+            if len(block) == 1:
+                cells.append((block, mul(right[block_of[block[0]]][1], left_color)))
+                continue
+            buckets: dict[int, list[int]] = {}
+            for x in block:
+                j = block_of[x]
+                if j in buckets:
+                    buckets[j].append(x)
+                else:
+                    buckets[j] = [x]
+            for j in sorted(buckets):
+                cells.append((tuple(buckets[j]), mul(right[j][1], left_color)))
+    except KeyError:  # a left point that no right block holds
+        size = -1
+    if size != len(block_of):
+        raise ValueError(
+            f"partitions of different ground sets: 1..{partition_total(left)} "
+            f"vs 1..{partition_total(right)}"
+        )
     return tuple(cells)
 
 

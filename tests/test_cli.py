@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -267,6 +268,19 @@ def test_huge_n_is_decided_by_the_estimate_alone(capsys, argv, code):
     assert got == code
     if code == 3:
         assert "or more items" in err
+
+
+@pytest.mark.parametrize("target", ["counts", "identities", "left-ideal"])
+def test_partition_guard_refuses_on_its_cheap_bound(capsys, target):
+    # the exact count of ordered partitions of 2000 points takes seconds;
+    # its k = n term, 2000!, is already over the limit
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", target, "--group", "cyclic:1", "--n", "2000")
+    elapsed = time.perf_counter() - started
+    assert code == 3
+    assert out == ""
+    assert "or more items" in err
+    assert elapsed < 0.5
 
 
 def test_negative_limit_is_usage_error(capsys):

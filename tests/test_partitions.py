@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gwreath import partitions
 from gwreath.errors import SizeLimitError
-from gwreath.groups import cyclic, klein_four
+from gwreath.groups import cyclic, klein_four, symmetric
 from gwreath.limits import check_limit
 from gwreath.partitions import (
     apply_permutation,
     coarsenings,
+    colored_partition_estimates,
     composition_sort_key,
     count_colored_compositions,
     count_colored_partitions,
@@ -204,6 +206,58 @@ def test_partitions_of_sizes_matches_factorials():
         assert count_partitions_of_sizes(sizes) == expected
     # a single huge block is one partition, with no factorial to compute
     assert count_partitions_of_sizes((10**6,)) == 1
+
+
+def chained_enumeration(group, n):
+    """The enumeration order by its definition: colored compositions in
+    canonical order, then each composition's blocks as ``_partitions_by_sizes``
+    walks them, colored in order."""
+    for comp in enumerate_colored_compositions(group, n):
+        sizes = tuple(size for size, _ in comp)
+        for blocks in partitions._partitions_by_sizes(tuple(range(1, n + 1)), sizes):
+            yield tuple(zip(blocks, (color for _, color in comp)))
+
+
+def enumerated_by_type(group, n):
+    for comp in enumerate_colored_compositions(group, n):
+        yield from enumerate_partitions_of_type(comp)
+
+
+ENUMERATION_CASES = [(cyclic(m), n) for m in (1, 2, 3) for n in (1, 2, 3)] + [
+    (klein_four(), 3), (symmetric(3), 3), (cyclic(1), 6), (cyclic(2), 4), (cyclic(3), 4),
+]
+
+
+@pytest.mark.parametrize("group,n", ENUMERATION_CASES)
+def test_enumeration_order_is_the_chain(group, n):
+    expected = list(chained_enumeration(group, n))
+    assert list(enumerate_colored_partitions(group, n)) == expected
+    assert list(enumerated_by_type(group, n)) == expected
+
+
+def test_shapes_over_the_bound_walked_afresh(monkeypatch):
+    # a shape over _CACHED_POINTS is not held; the walk yields the same
+    # partitions in the same order
+    G = symmetric(3)
+    expected = {n: list(chained_enumeration(G, n)) for n in (1, 2, 3)}
+    partitions._blocks_of_sizes.cache_clear()
+    monkeypatch.setattr(partitions, "_CACHED_POINTS", 0)
+    try:
+        for n, items in expected.items():
+            assert list(enumerate_colored_partitions(G, n)) == items
+            assert list(enumerated_by_type(G, n)) == items
+            for comp in enumerate_colored_compositions(G, n):
+                assert partitions._blocks_of_sizes(tuple(s for s, _ in comp)) is None
+    finally:
+        partitions._blocks_of_sizes.cache_clear()
+
+
+def test_partition_estimates_bound_then_count():
+    for n in range(1, 8):
+        for order in (1, 2, 5):
+            bound, count = colored_partition_estimates(n, order)
+            assert bound == math.factorial(n) * order**n <= count
+            assert count == count_colored_partitions(n, order)
 
 
 def test_size_guard_trips():

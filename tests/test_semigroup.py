@@ -51,6 +51,54 @@ def test_multiply_mismatched_ground_sets():
         multiply(G, identity_partition(2), identity_partition(3))
 
 
+@pytest.mark.parametrize("left,right,sizes", [
+    (identity_partition(2), identity_partition(3), (2, 3)),
+    (identity_partition(3), identity_partition(2), (3, 2)),
+    ((((1,), 0), ((2,), 1), ((3,), 0)), (((1, 2), 1),), (3, 2)),
+    ((((1,), 1),), (((2,), 0), ((1, 3), 1)), (1, 3)),
+])
+def test_multiply_mismatched_ground_sets_message(left, right, sizes):
+    with pytest.raises(ValueError) as err:
+        multiply(cyclic(2), left, right)
+    assert str(err.value) == (
+        f"partitions of different ground sets: 1..{sizes[0]} vs 1..{sizes[1]}"
+    )
+
+
+def product_by_definition(group, left, right):
+    """((B_i, g_i)) * ((C_j, h_j)) = ((B_i ∩ C_j, h_j * g_i)), row-major over
+    (i, j), empty intersections omitted."""
+    return tuple(
+        (tuple(sorted(set(block) & set(right_block))), group.table[h][g])
+        for block, g in left
+        for right_block, h in right
+        if set(block) & set(right_block)
+    )
+
+
+@st.composite
+def colored_partitions(draw, order, n):
+    """An ordered colored partition of 1..n: points shuffled, then cut into
+    blocks, so singleton and multi-element blocks both occur."""
+    points = draw(st.permutations(range(1, n + 1)))
+    cuts = draw(st.sets(st.integers(min_value=1, max_value=n - 1))) if n > 1 else set()
+    bounds = [0, *sorted(cuts), n]
+    return tuple(
+        (tuple(sorted(points[a:b])), draw(st.integers(min_value=0, max_value=order - 1)))
+        for a, b in zip(bounds, bounds[1:])
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_multiply_matches_definition(data):
+    G = data.draw(st.sampled_from([symmetric(3), cyclic(1), cyclic(2), cyclic(3)]))
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    left = data.draw(colored_partitions(G.order, n))
+    right = data.draw(colored_partitions(G.order, n))
+    assert multiply(G, left, right) == product_by_definition(G, left, right)
+
+
 def test_block_count_never_drops():
     G = cyclic(2)
     elements = list(enumerate_colored_partitions(G, 3))

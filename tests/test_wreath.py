@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -83,6 +84,28 @@ def test_descent_composition_identity():
 def test_descent_composition_decreasing():
     u = tuple((v, 0) for v in range(4, 0, -1))
     assert descent_composition(u) == ((1, 0),) * 4
+
+
+def cuts_after(u):
+    """The positions i (1-based) after which a colored descent cuts u: the
+    colors of u_i and u_(i+1) differ, or the value drops."""
+    return {i for i in range(1, len(u))
+            if u[i - 1][1] != u[i][1] or u[i - 1][0] > u[i][0]}
+
+
+@pytest.mark.parametrize("G,top", [
+    (cyclic(1), 5), (cyclic(2), 4), (symmetric(3), 3), (klein_four(), 3),
+])
+def test_descent_composition_matches_definition(G, top):
+    for n in range(1, top + 1):
+        for u in enumerate_wreath(G, n):
+            comp = descent_composition(u)
+            ends = list(itertools.accumulate(size for size, _ in comp))
+            assert ends[-1] == n
+            assert set(ends[:-1]) == cuts_after(u)
+            # each part carries the color of its first position
+            starts = [0, *ends[:-1]]
+            assert [color for _, color in comp] == [u[s][1] for s in starts]
 
 
 def test_descent_fibers_cover_everything():
