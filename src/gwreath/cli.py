@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or format error,
-3 size-guard refusal.  All file output is UTF-8 JSON carrying a
-schema_version field, and identical configurations (seed included)
-produce byte-identical output.
+3 size-guard refusal.  All JSON output is UTF-8 in the one envelope of
+``parsing.document`` (schema_version, group, n), and identical
+configurations (seed included) produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .groups import group_from_spec
 from .invariant import invariant_mul, structure_constant_table
 from .limits import DEFAULT_LIMIT
 from .parsing import (
+    document,
     parse_operand,
     render_colored_permutation,
     render_combination,
@@ -64,16 +65,8 @@ def cmd_multiply(args) -> int:
         rendered = render_combination(group, kind, invariant_mul(group, lhs, rhs, args.limit))
 
     if args.format == "json":
-        _emit({
-            "schema_version": 1,
-            "command": "multiply",
-            "group": group.name,
-            "n": args.n,
-            "kind": kind,
-            "lhs": args.lhs.strip(),
-            "rhs": args.rhs.strip(),
-            "product": rendered,
-        }, args.out)
+        _emit(document(group, args.n, command="multiply", kind=kind, lhs=args.lhs.strip(),
+                       rhs=args.rhs.strip(), product=rendered), args.out)
     else:
         _emit(rendered, args.out)
     return 0

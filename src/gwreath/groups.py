@@ -242,14 +242,9 @@ def group_from_spec(spec: str) -> FiniteGroup:
     if spec == "klein4":
         return klein_four()
     kind, sep, arg = spec.partition(":")
-    if not sep:
-        raise FormatError(
-            f"unknown group specifier {spec!r}; expected "
-            "cyclic:<m>, symmetric:<m>, klein4, or file:<path>"
-        )
-    if kind == "file":
+    if sep and kind == "file":
         return load_group(arg)
-    if kind in ("cyclic", "symmetric"):
+    if sep and kind in ("cyclic", "symmetric"):
         try:
             m = int(arg)
         except ValueError:

@@ -31,8 +31,9 @@ from functools import lru_cache
 from .errors import InvarianceViolationError
 from .limits import DEFAULT_LIMIT, check_limit
 from .linear import LinearCombination
-from .parsing import render_composition
+from .parsing import document, render_composition
 from .partitions import (
+    _blocks_of_sizes,
     ColoredComposition,
     composition_sort_key,
     composition_total,
@@ -191,8 +192,17 @@ def sigma_product(group, left: ColoredComposition,
 
 
 @lru_cache(maxsize=4096)
-def _type_fiber(comp: ColoredComposition) -> tuple:
+def _type_fiber(comp: ColoredComposition) -> tuple | None:
+    """The partitions of type ``comp`` as a tuple, or None when the shape
+    is over the bound of ``_blocks_of_sizes``, so that no large fiber is
+    kept."""
+    if _blocks_of_sizes(tuple(size for size, _ in comp)) is None:
+        return None
     return tuple(enumerate_partitions_of_type(comp, limit=None))
+
+
+def _walk_fiber(comp: ColoredComposition):
+    return _type_fiber(comp) or enumerate_partitions_of_type(comp, limit=None)
 
 
 def sigma_product_bruteforce(group, left: ColoredComposition,
@@ -208,9 +218,11 @@ def sigma_product_bruteforce(group, left: ColoredComposition,
     _check_pair(group, left, right)
     check_limit(count_partitions_of_type(left) * count_partitions_of_type(right),
                 limit, "brute-force sigma product")
+    # the right fiber is read once per left partition, so it alone is a tuple
+    right_fiber = tuple(_walk_fiber(right))
     acc: dict = {}
-    for p in _type_fiber(left):
-        for q in _type_fiber(right):
+    for p in _walk_fiber(left):
+        for q in right_fiber:
             product = multiply(group, p, q)
             acc[product] = acc.get(product, 0) + 1
 
@@ -220,14 +232,15 @@ def sigma_product_bruteforce(group, left: ColoredComposition,
     coeffs: dict = {}
     for comp in sorted(by_type, key=composition_sort_key):
         seen = by_type[comp]
-        fiber = _type_fiber(comp)
-        first = seen.get(fiber[0], 0)
+        fiber = iter(_walk_fiber(comp))
+        head = next(fiber)
+        first = seen.get(head, 0)
         for partition in fiber:
             value = seen.get(partition, 0)
             if value != first:
                 raise InvarianceViolationError(
                     f"type fiber {comp} has non-constant coefficients: "
-                    f"{fiber[0]} -> {first} but {partition} -> {value}"
+                    f"{head} -> {first} but {partition} -> {value}"
                 )
         coeffs[comp] = first
     return LinearCombination(coeffs)
@@ -303,10 +316,5 @@ def structure_constant_table(group, n: int,
         row, shift = rows[base], shifts[g]
         for j in range(len(basis)):
             products[f"{i},{j}"] = row[shift[j]]
-    return {
-        "schema_version": 1,
-        "group": group.name,
-        "n": n,
-        "basis": [render_composition(group, comp) for comp in basis],
-        "products": products,
-    }
+    return document(group, n, basis=[render_composition(group, comp) for comp in basis],
+                    products=products)

@@ -7,6 +7,8 @@
 
 Whitespace is ignored everywhere; colors may be written as labels or as
 element indices, labels winning; parse errors carry the exact offset.
+``document`` is the one envelope of every JSON document: schema_version,
+the group's name and n, then the document's own fields.
 """
 
 from __future__ import annotations
@@ -266,6 +268,11 @@ def parse_operand(text: str, group, n: int | None = None):
 
 # ---------------------------------------------------------------------------
 # renderers (canonical text, inverse to the parsers)
+
+def document(group, n: int, **fields) -> dict:
+    """A JSON document in the package's one envelope."""
+    return {"schema_version": 1, "group": group.name, "n": n, **fields}
+
 
 def render_composition(group, comp: ColoredComposition) -> str:
     body = "|".join(f"{size}:{group.label(color)}" for size, color in comp)

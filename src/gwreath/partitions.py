@@ -107,21 +107,22 @@ def count_partitions_of_type(comp: ColoredComposition) -> int:
     return count_partitions_of_sizes(tuple(size for size, _ in comp))
 
 
+def _stirling_row(n: int) -> list:
+    """The Stirling numbers of the second kind S(n, 0..n)."""
+    row = [1]
+    for m in range(1, n + 1):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, m)] + [1]
+    return row
+
+
 def stirling2(n: int, k: int) -> int:
     """Number of set partitions of an n-set into k non-empty blocks."""
-    if k > n or k < 0:
-        return 0
-    row = [1] + [0] * k
-    for _ in range(n):
-        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
-    return row[k]
+    return _stirling_row(n)[k] if 0 <= k <= n else 0
 
 
 def count_colored_partitions(n: int, order: int) -> int:
     """sum_k k! S(n, k) order^k, from the one Stirling row S(n, 0..n)."""
-    row = [1]
-    for m in range(1, n + 1):
-        row = [0] + [j * row[j] + row[j - 1] for j in range(1, m)] + [1]
+    row = _stirling_row(n)
     total, weight = 0, 1
     for k in range(1, n + 1):
         weight *= k * order

@@ -5,16 +5,21 @@ order is ``VERIFY_TARGETS``.  ``identities``, ``prop1`` and ``theorem1`` run
 exhaustively or on ``samples`` (at least 1) seeded random pairs; ``mobius``,
 ``left-ideal`` and ``counts`` are always exhaustive.
 
-Every report has one envelope, built by ``_envelope``: schema_version,
-theorem (the target name), group, n, mode, seed (None unless sampled),
-pairs_checked, failures and passed; ``identities`` adds element_count and
-``counts`` the three enumerated counts.  Reports are deterministic for a
-fixed configuration, the seed included.  A sweep that needs X or Y vectors
-runs ``descent_fibers`` once and reads them all off that pass.
+Every report is a ``parsing.document`` (schema_version, group, n), and
+``_envelope`` adds the fields every sweep shares: theorem (the target
+name), mode, seed (None unless sampled), pairs_checked, failures and
+passed; ``identities`` adds element_count and ``counts`` the three
+enumerated counts.  Reports are deterministic for a fixed configuration,
+the seed included.  A sweep that needs X or Y vectors runs
+``descent_fibers`` once and reads them all off that pass.  ``prop1`` and
+``theorem1`` check the size of every pair's product against the limit
+before they make the first one, so an over-limit pair is refused at once
+however late it is drawn.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import partial
 
@@ -29,6 +34,7 @@ from .errors import FormatError
 from .limits import DEFAULT_LIMIT, check_limit
 from .linear import LinearCombination
 from .parsing import (
+    document,
     render_colored_permutation,
     render_composition,
     render_partition,
@@ -37,6 +43,7 @@ from .partitions import (
     colored_partition_estimates,
     count_colored_compositions,
     count_colored_partitions,
+    count_partitions_of_type,
     enumerate_colored_compositions,
     enumerate_colored_partitions,
 )
@@ -52,18 +59,10 @@ from .wreath import (
 from .invariant import sigma_product, sigma_product_bruteforce
 
 
-def _envelope(target: str, group, n: int, mode: str, seed, pairs: int, failures: list) -> dict:
-    return {
-        "schema_version": 1,
-        "theorem": target,
-        "group": group.name,
-        "n": n,
-        "mode": mode,
-        "seed": seed,
-        "pairs_checked": pairs,
-        "failures": failures,
-        "passed": not failures,
-    }
+def _envelope(target: str, group, n: int, mode: str, seed, pairs: int, failures: list,
+              **extra) -> dict:
+    return document(group, n, theorem=target, mode=mode, seed=seed, pairs_checked=pairs,
+                    failures=failures, passed=not failures, **extra)
 
 
 def _check_sampling(mode: str, samples: int) -> None:
@@ -109,38 +108,33 @@ def verify_identities(group, n: int, mode: str = "exhaustive", samples: int = 10
                         f"identity sweep over all pairs at n={n}, |G|={group.order}")
     elements = list(enumerate_colored_partitions(group, n, limit))
     powers = {}  # x -> x^|G|, computed once per element
-
-    def power_holds(x) -> bool:
-        powers[x] = power(group, x, group.order)
-        return multiply(group, x, powers[x]) == x
-
-    def failure(kind, x, y=None) -> list:
-        return [{"identity": kind, "x": render_partition(group, x),
-                 "y": None if y is None else render_partition(group, y)}]
-
     pairs, used_seed = _pairs(elements, mode, samples, seed)
-    failures, checked = [], 0
     if mode == "exhaustive":
-        bad = next((x for x in elements if not power_holds(x)), None)
-        if bad is not None:
-            failures, pairs = failure("power", bad), ()
+        # a pair (x, None) checks x's power alone, so every power comes first
+        pairs = itertools.chain(((x, None) for x in elements), pairs)
+    failures, checked = [], 0
     x = None
     for a, y in pairs:
         # read the memo only when x changes, so that x is not hashed per pair
         if a is not x:
             x = a
-            if x not in powers and not power_holds(x):
-                failures = failure("power", x)
-                break
+            if x not in powers:
+                powers[x] = power(group, x, group.order)
+                if multiply(group, x, powers[x]) != x:
+                    failures = [{"identity": "power", "x": render_partition(group, x),
+                                 "y": None}]
+                    break
             x_exp = powers[x]
+        if y is None:
+            continue
         checked += 1
         xy = multiply(group, x, y)
         if multiply(group, xy, x_exp) != xy:
-            failures = failure("pair", x, y)
+            failures = [{"identity": "pair", "x": render_partition(group, x),
+                         "y": render_partition(group, y)}]
             break
-    report = _envelope("identities", group, n, mode, used_seed, checked, failures)
-    report["element_count"] = len(elements)
-    return report
+    return _envelope("identities", group, n, mode, used_seed, checked, failures,
+                     element_count=len(elements))
 
 
 # an older public name of the same sweep, kept for library callers
@@ -149,12 +143,23 @@ check_identities = verify_identities
 
 def verify_prop1(group, n: int, mode: str = "exhaustive", samples: int = 200,
                  seed: int = 0, limit: int | None = DEFAULT_LIMIT) -> dict:
-    """Matrix-rule products against brute-force expansion, pair by pair."""
+    """Matrix-rule products against brute-force expansion, pair by pair.
+    Every pair's brute-force size is checked before the first product."""
     _check_sampling(mode, samples)
     comps = list(enumerate_colored_compositions(group, n, limit))
+    size = count_partitions_of_type
     if mode == "exhaustive":
         check_limit(len(comps) ** 2, limit,
                     f"product-rule sweep over composition pairs at n={n}")
+        # only a row whose left fiber times the largest one is over the
+        # limit holds an over-limit pair; the first such pair is refused
+        top = max(map(size, comps))
+        pairs = ((a, b) for a in comps if limit is not None and size(a) * top > limit
+                 for b in comps)
+    else:
+        pairs = _pairs(comps, mode, samples, seed)[0]
+    for a, b in pairs:
+        check_limit(size(a) * size(b), limit, "brute-force sigma product")
     render = partial(render_composition, group)
     pairs, used_seed = _pairs(comps, mode, samples, seed)
     failures, checked = [], 0
@@ -204,12 +209,16 @@ def verify_antihomomorphism(group, n: int, mode: str = "exhaustive",
     x_vectors = {comp: expand_x(fibers, {comp: 1}) for comp in comps}
     render = partial(render_composition, group)
     render_key = partial(render_colored_permutation, group)
-    what = f"group-algebra product of two X vectors at n={n}, |G|={group.order}"
+    if mode == "sampled":
+        # exhaustive pairs are within the guard above; sampled ones are all
+        # checked before the first product
+        for a, b in _pairs(comps, mode, samples, seed)[0]:
+            check_limit(len(x_vectors[b]) * len(x_vectors[a]), limit,
+                        f"group-algebra product of two X vectors at n={n}, |G|={group.order}")
     pairs, used_seed = _pairs(comps, mode, samples, seed)
     failures, checked = [], 0
     for a, b in pairs:
         checked += 1
-        check_limit(len(x_vectors[b]) * len(x_vectors[a]), limit, what)
         lhs = LinearCombination(
             (u, coeff * c)
             for comp, coeff in sigma_product(group, a, b).items()
@@ -296,11 +305,9 @@ def verify_counts(group, n: int, limit: int | None = DEFAULT_LIMIT) -> dict:
         failures.append({"kind": "descent-fibers", "fiber_total": fiber_total,
                          "distinct": distinct, "wreath_count": wreath_count})
 
-    report = _envelope("counts", group, n, "exhaustive", None, 4, failures)
-    report["partition_count"] = partition_count
-    report["composition_count"] = comp_count
-    report["wreath_count"] = wreath_count
-    return report
+    return _envelope("counts", group, n, "exhaustive", None, 4, failures,
+                     partition_count=partition_count, composition_count=comp_count,
+                     wreath_count=wreath_count)
 
 
 # target -> (sweep, whether it takes mode, samples and seed); the order is

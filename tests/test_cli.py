@@ -368,3 +368,89 @@ def test_malformed_group_file_is_usage_error(tmp_path, capsys, content):
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "must be a list" in err
+
+
+# The exact stdout of every other JSON document: the four multiply kinds and
+# two verify reports, all in the one envelope (schema_version, group, n).
+def _multiply_document(kind, lhs, rhs, product):
+    return (
+        "{\n"
+        '  "command": "multiply",\n'
+        '  "group": "cyclic:2",\n'
+        f'  "kind": "{kind}",\n'
+        f'  "lhs": "{lhs}",\n'
+        '  "n": 2,\n'
+        f'  "product": "{product}",\n'
+        f'  "rhs": "{rhs}",\n'
+        '  "schema_version": 1\n'
+        "}\n"
+    )
+
+
+@pytest.mark.parametrize("kind,lhs,rhs,product", [
+    ("partition", "({1}:1|{2}:0)", "({1,2}:1)", "({1}:0|{2}:1)"),
+    ("wreath", "[(2:1)(1:0)]", "[(1:1)(2:1)]", "[(2:0)(1:1)]"),
+    ("sigma", "sigma(1:0|1:1)", "sigma(2:1)+2*sigma(1:1|1:1)", "5*sigma(1:1|1:0)"),
+    ("x", "X(1:1|1:0)", "X(2:0)-X(1:0|1:1)", "-X(1:0|1:0) + X(1:1|1:0) - X(1:1|1:1)"),
+])
+def test_multiply_json_bytes(capsys, kind, lhs, rhs, product):
+    code, out, err = run(capsys, "multiply", "--group", "cyclic:2", "--n", "2",
+                         "--format", "json", lhs, rhs)
+    assert (code, err) == (0, "")
+    assert out == _multiply_document(kind, lhs, rhs, product)
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("counts",), """{
+  "composition_count": 6,
+  "failures": [],
+  "group": "cyclic:2",
+  "mode": "exhaustive",
+  "n": 2,
+  "pairs_checked": 4,
+  "partition_count": 10,
+  "passed": true,
+  "schema_version": 1,
+  "seed": null,
+  "theorem": "counts",
+  "wreath_count": 8
+}
+"""),
+    (("prop1", "--mode", "sampled", "--samples", "5", "--seed", "3"), """{
+  "failures": [],
+  "group": "cyclic:2",
+  "mode": "sampled",
+  "n": 2,
+  "pairs_checked": 5,
+  "passed": true,
+  "schema_version": 1,
+  "seed": 3,
+  "theorem": "prop1"
+}
+"""),
+])
+def test_verify_json_bytes(capsys, argv, expected):
+    code, out, err = run(capsys, "verify", argv[0], "--group", "cyclic:2", "--n", "2",
+                         *argv[1:])
+    assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("target,extra,err", [
+    # the first over-limit pair is drawn late in both samples
+    ("prop1", ("--mode", "sampled", "--samples", "60", "--seed", "0"),
+     "error: brute-force sigma product would produce an estimated 6350400 items"),
+    ("theorem1", ("--mode", "sampled", "--samples", "200", "--seed", "0"),
+     "error: group-algebra product of two X vectors at n=7, |G|=1 would produce "
+     "an estimated 6350400 items"),
+    # exhaustive: 64**2 composition pairs, but (1|1|...|1) times itself
+    # is 5040**2 partition products
+    ("prop1", (), "error: brute-force sigma product would produce an estimated 6350400 items"),
+])
+def test_over_limit_pair_refused_before_any_product(capsys, target, extra, err):
+    started = time.perf_counter()
+    code, out, got = run(capsys, "verify", target, "--group", "cyclic:1", "--n", "7", *extra)
+    elapsed = time.perf_counter() - started
+    assert (code, out) == (3, "")
+    assert got == (err + ", over the limit of 5000000; raise the limit "
+                   "(or pass limit=None) to force\n")
+    assert elapsed < 2

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwreath import invariant
-from gwreath.errors import SizeLimitError
+from gwreath import invariant, partitions
+from gwreath.errors import InvarianceViolationError, SizeLimitError
 from gwreath.groups import cyclic, from_table, klein_four, symmetric
 from gwreath.invariant import (
     CompatibleMatrix,
@@ -247,6 +247,48 @@ def test_bruteforce_identity_case():
     G = cyclic(2)
     for comp in enumerate_colored_compositions(G, 3):
         assert sigma_product_bruteforce(G, ((3, 0),), comp) == LinearCombination.basis(comp)
+
+
+def test_oracle_holds_no_fiber_over_the_bound(monkeypatch):
+    # a type fiber over _CACHED_POINTS is walked afresh on each call and not
+    # kept; the products are the same
+    G = cyclic(2)
+    comps = list(enumerate_colored_compositions(G, 3))[::3]
+    expected = {(a, b): sigma_product_bruteforce(G, a, b) for a in comps for b in comps}
+    invariant._type_fiber.cache_clear()
+    partitions._blocks_of_sizes.cache_clear()
+    monkeypatch.setattr(partitions, "_CACHED_POINTS", 0)
+    try:
+        for (a, b), product in expected.items():
+            assert sigma_product_bruteforce(G, a, b) == product
+        for comp in enumerate_colored_compositions(G, 3):
+            assert invariant._type_fiber(comp) is None
+    finally:
+        invariant._type_fiber.cache_clear()
+        partitions._blocks_of_sizes.cache_clear()
+
+
+def test_oracle_refuses_a_non_invariant_product(monkeypatch):
+    # every product in sigma(1|1) * sigma(1|1) is its left factor, so each
+    # partition of the fiber has coefficient 2; a product that moves one of
+    # them onto the other leaves 4 and 0
+    G = cyclic(1)
+    comp = ((1, 0), (1, 0))
+    assert sigma_product_bruteforce(G, comp, comp) == LinearCombination({comp: 2})
+    moved = {(((2,), 0), ((1,), 0)): (((1,), 0), ((2,), 0))}
+    real = invariant.multiply
+
+    def planted(group, left, right):
+        product = real(group, left, right)
+        return moved.get(product, product)
+
+    monkeypatch.setattr(invariant, "multiply", planted)
+    with pytest.raises(InvarianceViolationError) as raised:
+        sigma_product_bruteforce(G, comp, comp)
+    assert str(raised.value) == (
+        "type fiber ((1, 0), (1, 0)) has non-constant coefficients: "
+        "(((1,), 0), ((2,), 0)) -> 4 but (((2,), 0), ((1,), 0)) -> 0"
+    )
 
 
 def test_mismatched_totals():
