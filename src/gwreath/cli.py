@@ -26,7 +26,7 @@ from .parsing import (
     render_partition,
 )
 from .semigroup import multiply
-from .verify import VERIFY_TARGETS, run_verification
+from .verify import DEFAULT_SAMPLES, VERIFY_TARGETS, run_verification
 from .wreath import wreath_mul
 
 
@@ -121,7 +121,7 @@ def _add_common(sub, *, sampling: bool) -> None:
     sub.add_argument("--out", help="write output to this file instead of stdout")
     if sampling:
         sub.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-        sub.add_argument("--samples", type=_positive_int, default=200,
+        sub.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES,
                          help="number of random pairs in sampled mode")
         sub.add_argument("--seed", type=int, default=0,
                          help="seed for sampled mode, recorded in the report")
@@ -177,8 +177,9 @@ def main(argv=None) -> int:
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        # FormatError, ParseError, GroupAxiomError and NotAChamberError included
+    except (ValueError, OSError) as exc:
+        # FormatError, ParseError, GroupAxiomError and NotAChamberError
+        # included; OSError is an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,10 +9,10 @@ Two bases, both indexed by colored compositions:
   coarsening of ``comp``, i.e. X_comp = sum of Y_beta over beta that comp
   refines.  Inverting that by inclusion-exclusion recovers Y from X.
 
-``descent_fibers`` is the one pass over the wreath product; ``expand_x``
-reads every X or Y vector off its fibers, and ``y_to_x`` is the one
-inclusion-exclusion routine.  The sweeps in :mod:`gwreath.verify` run one
-pass and hand it to those two.
+``expand_x`` builds X_comp as sigma_comp acting on the identity chamber:
+each partition of type comp writes its blocks in order, each increasing and
+in its own color, so no X vector needs ``descent_fibers``, the one pass
+over the wreath product.  ``y_to_x`` is the one inclusion-exclusion routine.
 
 ``sigma_to_x`` sends each sigma basis vector of the invariant algebra to the
 matching X vector.  That map reverses products (Theorem 1): the image of
@@ -25,12 +25,13 @@ checks the identity against ``group_algebra_mul``, the independent oracle.
 from __future__ import annotations
 
 from .errors import NotInSpanError
-from .limits import DEFAULT_LIMIT
+from .limits import DEFAULT_LIMIT, check_limit
 from .linear import LinearCombination
 from .partitions import (
     ColoredComposition,
     coarsenings,
     composition_total,
+    count_partitions_of_type,
     enumerate_partitions_of_type,
     validate_composition,
 )
@@ -55,24 +56,20 @@ def descent_fibers(group, n: int, limit: int | None = DEFAULT_LIMIT) -> dict:
     return {comp: tuple(members) for comp, members in fibers.items()}
 
 
-def _fibers_of(group, comps, limit) -> dict:
-    """Validate ``comps`` and return the descent fibers at each of their totals."""
-    fibers: dict = {}
+def _check_x_terms(group, comps, limit) -> None:
+    """Validate ``comps``; refuse when their X vectors hold over ``limit`` terms."""
     for comp in comps:
         validate_composition(comp, group)
-    for n in {composition_total(comp) for comp in comps}:
-        fibers.update(descent_fibers(group, n, limit))
-    return fibers
+    check_limit(sum(map(count_partitions_of_type, comps)), limit, "X vector expansion")
 
 
-def expand_x(fibers: dict, coords) -> LinearCombination:
+def expand_x(coords) -> LinearCombination:
     """sum of coeff * X_comp over ``coords`` in the group algebra, where X_comp
-    is the union of the fibers of the coarsenings of comp."""
+    has one term per partition of type comp, its blocks written in order."""
     return LinearCombination(
-        (u, coeff)
+        (tuple((x, color) for block, color in partition for x in block), coeff)
         for comp, coeff in coords.items()
-        for coarser in coarsenings(comp)
-        for u in fibers.get(coarser, ())
+        for partition in enumerate_partitions_of_type(comp, limit=None)
     )
 
 
@@ -89,20 +86,23 @@ def y_to_x(y_coords) -> LinearCombination:
 
 def y_basis(group, comp: ColoredComposition,
             limit: int | None = DEFAULT_LIMIT) -> LinearCombination:
-    fibers = _fibers_of(group, [comp], limit)
-    return LinearCombination((u, 1) for u in fibers.get(comp, ()))
+    validate_composition(comp, group)
+    fiber = descent_fibers(group, composition_total(comp), limit).get(comp, ())
+    return LinearCombination((u, 1) for u in fiber)
 
 
 def x_basis(group, comp: ColoredComposition,
             limit: int | None = DEFAULT_LIMIT) -> LinearCombination:
-    return expand_x(_fibers_of(group, [comp], limit), {comp: 1})
+    return sigma_to_x(group, LinearCombination.basis(comp), limit)
 
 
 def y_from_x(group, comp: ColoredComposition,
              limit: int | None = DEFAULT_LIMIT) -> LinearCombination:
     """Recover the Y vector by inclusion-exclusion over coarsenings; must
-    agree with ``y_basis`` exactly."""
-    return expand_x(_fibers_of(group, [comp], limit), y_to_x({comp: 1}))
+    agree with ``y_basis`` exactly.  X_comp is checked first, since it has
+    at least as many terms as comp has coarsenings."""
+    _check_x_terms(group, [comp], limit)
+    return sigma_to_x(group, y_to_x({comp: 1}), limit)
 
 
 def group_algebra_mul(group, x: LinearCombination, y: LinearCombination) -> LinearCombination:
@@ -115,7 +115,8 @@ def group_algebra_mul(group, x: LinearCombination, y: LinearCombination) -> Line
 def sigma_to_x(group, x: LinearCombination,
                limit: int | None = DEFAULT_LIMIT) -> LinearCombination:
     """Linear extension of sigma_comp -> X_comp into the group algebra."""
-    return expand_x(_fibers_of(group, list(x.keys()), limit), x)
+    _check_x_terms(group, x.keys(), limit)
+    return expand_x(x)
 
 
 def express_in_x_basis(group, n: int, z: LinearCombination,

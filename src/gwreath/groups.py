@@ -85,12 +85,7 @@ def cyclic(m: int) -> FiniteGroup:
     table may hold at most ``DEFAULT_LIMIT`` entries."""
     if m < 1:
         raise FormatError(f"cyclic group order must be positive, got {m}")
-    if m * m > DEFAULT_LIMIT:
-        raise SizeLimitError(
-            f"cyclic group order must be at most {isqrt(DEFAULT_LIMIT)} (an m*m Cayley "
-            f"table of at most {DEFAULT_LIMIT} entries), got {m}",
-            estimate=m * m,
-        )
+    _check_order(m, "cyclic group")
     table = tuple(tuple((a + b) % m for b in range(m)) for a in range(m))
     labels = tuple(str(a) for a in range(m))
     return FiniteGroup(m, table, labels, name=f"cyclic:{m}")
@@ -126,11 +121,14 @@ def klein_four() -> FiniteGroup:
 def from_table(table, labels=None, name: str | None = None) -> FiniteGroup:
     """Build a group from a raw Cayley table, validating all group axioms.
 
-    Raises FormatError for shape problems and GroupAxiomError, naming the
-    failing row or triple, when the table is not a group with identity 0.
+    Raises SizeLimitError when the m*m table is over ``DEFAULT_LIMIT``
+    entries, as ``cyclic`` does, FormatError for shape problems and
+    GroupAxiomError, naming the failing row or triple, when the table is
+    not a group with identity 0.
     """
     rows = _table_rows(table)
     m = len(rows)
+    _check_order(m, "group")
     if m == 0:
         raise FormatError("Cayley table must be non-empty")
     for i, row in enumerate(rows):
@@ -189,6 +187,16 @@ def from_table(table, labels=None, name: str | None = None) -> FiniteGroup:
 
     frozen = tuple(tuple(row) for row in rows)
     return FiniteGroup(m, frozen, labels, name=name or f"table:{m}")
+
+
+def _check_order(m: int, what: str) -> None:
+    """SizeLimitError when an m*m Cayley table is over ``DEFAULT_LIMIT`` entries."""
+    if m * m > DEFAULT_LIMIT:
+        raise SizeLimitError(
+            f"{what} order must be at most {isqrt(DEFAULT_LIMIT)} (an m*m Cayley "
+            f"table of at most {DEFAULT_LIMIT} entries), got {m}",
+            estimate=m * m,
+        )
 
 
 def _table_rows(table) -> list:

@@ -10,11 +10,11 @@ Every report is a ``parsing.document`` (schema_version, group, n), and
 name), mode, seed (None unless sampled), pairs_checked, failures and
 passed; ``identities`` adds element_count and ``counts`` the three
 enumerated counts.  Reports are deterministic for a fixed configuration,
-the seed included.  A sweep that needs X or Y vectors runs
-``descent_fibers`` once and reads them all off that pass.  ``prop1`` and
-``theorem1`` check the size of every pair's product against the limit
-before they make the first one, so an over-limit pair is refused at once
-however late it is drawn.
+the seed included.  X vectors come from ``expand_x``; only ``mobius``
+and ``counts`` run ``descent_fibers``.  A sampled sweep refuses more
+samples than the limit, and ``prop1`` and ``theorem1`` check the size of
+every pair's product against the limit before they make the first one, so
+an over-limit pair is refused at once however late it is drawn.
 """
 
 from __future__ import annotations
@@ -65,11 +65,16 @@ def _envelope(target: str, group, n: int, mode: str, seed, pairs: int, failures:
                     failures=failures, passed=not failures, **extra)
 
 
-def _check_sampling(mode: str, samples: int) -> None:
+DEFAULT_SAMPLES = 200
+
+
+def _check_sampling(mode: str, samples: int, limit: int | None) -> None:
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-    if mode == "sampled" and samples < 1:
-        raise ValueError(f"sample count must be at least 1, got {samples}")
+    if mode == "sampled":
+        if samples < 1:
+            raise ValueError(f"sample count must be at least 1, got {samples}")
+        check_limit(samples, limit, "sampled sweep")
 
 
 def _pairs(items: list, mode: str, samples: int, seed: int):
@@ -96,12 +101,13 @@ def _difference(one: LinearCombination, other: LinearCombination, render_key,
             names[1]: other.coefficient(key)}
 
 
-def verify_identities(group, n: int, mode: str = "exhaustive", samples: int = 10_000,
-                      seed: int = 0, limit: int | None = DEFAULT_LIMIT) -> dict:
+def verify_identities(group, n: int, mode: str = "exhaustive",
+                      samples: int = DEFAULT_SAMPLES, seed: int = 0,
+                      limit: int | None = DEFAULT_LIMIT) -> dict:
     """Sweep x^(|G|+1) = x and x*y*x^|G| = x*y over the partition semigroup,
     stopping at the first failure.  Exhaustive mode checks every power before
     any pair; sampled mode checks x's power when x is first drawn."""
-    _check_sampling(mode, samples)
+    _check_sampling(mode, samples, limit)
     if mode == "exhaustive":
         for count in colored_partition_estimates(n, group.order):
             check_limit(count ** 2, limit,
@@ -141,11 +147,12 @@ def verify_identities(group, n: int, mode: str = "exhaustive", samples: int = 10
 check_identities = verify_identities
 
 
-def verify_prop1(group, n: int, mode: str = "exhaustive", samples: int = 200,
-                 seed: int = 0, limit: int | None = DEFAULT_LIMIT) -> dict:
+def verify_prop1(group, n: int, mode: str = "exhaustive",
+                 samples: int = DEFAULT_SAMPLES, seed: int = 0,
+                 limit: int | None = DEFAULT_LIMIT) -> dict:
     """Matrix-rule products against brute-force expansion, pair by pair.
     Every pair's brute-force size is checked before the first product."""
-    _check_sampling(mode, samples)
+    _check_sampling(mode, samples, limit)
     comps = list(enumerate_colored_compositions(group, n, limit))
     size = count_partitions_of_type
     if mode == "exhaustive":
@@ -182,7 +189,7 @@ def verify_mobius(group, n: int, limit: int | None = DEFAULT_LIMIT) -> dict:
     failures = []
     for comp in comps:
         difference = _difference(LinearCombination((u, 1) for u in fibers.get(comp, ())),
-                                 expand_x(fibers, y_to_x({comp: 1})),
+                                 expand_x(y_to_x({comp: 1})),
                                  render, ("direct", "inverted"))
         if difference:
             failures.append({"composition": render_composition(group, comp), **difference})
@@ -190,7 +197,7 @@ def verify_mobius(group, n: int, limit: int | None = DEFAULT_LIMIT) -> dict:
 
 
 def verify_antihomomorphism(group, n: int, mode: str = "exhaustive",
-                            samples: int = 200, seed: int = 0,
+                            samples: int = DEFAULT_SAMPLES, seed: int = 0,
                             limit: int | None = DEFAULT_LIMIT) -> dict:
     """Sweep the identity  sigma_to_x(sigma_a * sigma_b) = X_b * X_a  over
     pairs of compositions, exhaustively or on seeded random samples.
@@ -198,15 +205,14 @@ def verify_antihomomorphism(group, n: int, mode: str = "exhaustive",
     Each failure records the pair, the first basis key where the sides
     differ, and both coefficients.
     """
-    _check_sampling(mode, samples)
+    _check_sampling(mode, samples, limit)
     comps = list(enumerate_colored_compositions(group, n, limit))
     # the X vectors hold one term per colored partition in all, and the
     # exhaustive sweep multiplies every X vector by every other
     for x_terms in colored_partition_estimates(n, group.order):
         check_limit(x_terms ** 2 if mode == "exhaustive" else x_terms, limit,
                     f"{mode} anti-homomorphism sweep at n={n}, |G|={group.order}")
-    fibers = descent_fibers(group, n, limit)
-    x_vectors = {comp: expand_x(fibers, {comp: 1}) for comp in comps}
+    x_vectors = {comp: expand_x({comp: 1}) for comp in comps}
     render = partial(render_composition, group)
     render_key = partial(render_colored_permutation, group)
     if mode == "sampled":
@@ -259,10 +265,9 @@ def verify_left_ideal(group, n: int, limit: int | None = DEFAULT_LIMIT) -> dict:
                 "left": render_partition(group, partition),
                 "right": render_partition(group, chamber),
             })
-    fibers = descent_fibers(group, n, limit)
     identity = wreath_identity(n)
     for comp in enumerate_colored_compositions(group, n, limit):
-        x_vector = expand_x(fibers, {comp: 1})
+        x_vector = expand_x({comp: 1})
         for v in elements:
             checked += 1
             action = sigma_act_on_chamber(group, comp, v, limit)
@@ -324,7 +329,7 @@ VERIFY_TARGETS = tuple(_SWEEPS)
 
 
 def run_verification(target: str, group, n: int, mode: str = "exhaustive",
-                     samples: int = 200, seed: int = 0,
+                     samples: int = DEFAULT_SAMPLES, seed: int = 0,
                      limit: int | None = DEFAULT_LIMIT) -> dict:
     if target not in _SWEEPS:
         raise FormatError(

@@ -242,6 +242,17 @@ def test_cyclic_order_over_table_cap_exits_3(capsys):
     assert "at most 2236" in err
 
 
+def test_file_group_over_table_cap_exits_3(tmp_path, capsys):
+    # 2237 rows are refused on their count, before the shape is looked at
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"table": [[0]] * 2237}), encoding="utf-8")
+    code, out, err = run(
+        capsys, "multiply", "--group", f"file:{path}", "--n", "1", "[(1:0)]", "[(1:0)]",
+    )
+    assert (code, out) == (3, "")
+    assert "group order must be at most 2236" in err
+
+
 @pytest.mark.parametrize("spec,code", [
     ("symmetric:0", 2), ("symmetric:-1", 2), ("symmetric:100000", 3),
 ])
@@ -283,6 +294,18 @@ def test_partition_guard_refuses_on_its_cheap_bound(capsys, target):
     assert elapsed < 0.5
 
 
+@pytest.mark.parametrize("target", ["identities", "prop1", "theorem1"])
+def test_sampled_sweep_counts_its_samples_against_the_limit(capsys, target):
+    argv = ("verify", target, "--group", "cyclic:1", "--n", "1", "--mode", "sampled",
+            "--limit", "10")
+    assert run(capsys, *argv, "--samples", "10")[0] == 0
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--samples", "11")
+    assert time.perf_counter() - started < 0.5
+    assert (code, out) == (3, "")
+    assert "estimated 11 items, over the limit of 10" in err
+
+
 def test_negative_limit_is_usage_error(capsys):
     code, _, err = run(
         capsys, "verify", "counts", "--group", "cyclic:2", "--n", "3",
@@ -303,6 +326,19 @@ def test_out_writes_report_and_prints_summary(tmp_path, capsys):
     report = json.loads(path.read_text(encoding="utf-8"))
     assert report["passed"] is True
     assert report["schema_version"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("multiply", "--group", "cyclic:2", "--n", "2", "[(1:0)(2:0)]", "[(2:1)(1:0)]"),
+    ("structure-constants", "--group", "cyclic:1", "--n", "2"),
+    ("verify", "counts", "--group", "cyclic:1", "--n", "2"),
+], ids=["multiply", "structure-constants", "verify"])
+@pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["missing-dir", "dir"])
+def test_out_path_that_cannot_be_written_is_usage_error(tmp_path, capsys, argv, target):
+    # a missing parent directory, or a directory in place of a file
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_structure_constants_output(capsys):

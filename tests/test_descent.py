@@ -1,5 +1,7 @@
 import pytest
 
+import gwreath.descent
+import gwreath.wreath
 from gwreath.descent import (
     descent_fibers,
     express_in_x_basis,
@@ -10,7 +12,7 @@ from gwreath.descent import (
     y_basis,
     y_from_x,
 )
-from gwreath.errors import NotInSpanError
+from gwreath.errors import NotInSpanError, SizeLimitError
 from gwreath.groups import cyclic, symmetric
 from gwreath.invariant import sigma_product
 from gwreath.linear import LinearCombination
@@ -218,3 +220,50 @@ def test_antihomomorphism_matches_public_route():
             lhs = sigma_to_x(G, sigma_product(G, a, b))
             rhs = group_algebra_mul(G, x_basis(G, b), x_basis(G, a))
             assert lhs == rhs
+
+
+def test_x_vectors_never_enumerate_the_wreath_product(monkeypatch):
+    G = cyclic(2)
+    comp = ((1, 0), (2, 0), (1, 1))
+    fibers = descent_fibers(G, 4)
+    # comp refines itself and ((3, 0), (1, 1)), the descent compositions
+    # whose fibers make up X_comp
+    x_terms = [u for coarser in (comp, ((3, 0), (1, 1))) for u in fibers[coarser]]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_wreath(*args, **kwargs)
+
+    for module in (gwreath.descent, gwreath.wreath):
+        monkeypatch.setattr(module, "enumerate_wreath", counting)
+    assert x_basis(G, comp) == LinearCombination((u, 1) for u in x_terms)
+    assert y_from_x(G, comp) == LinearCombination((u, 1) for u in fibers[comp])
+    assert sigma_to_x(G, LinearCombination({comp: 2, ((4, 1),): -1})) == LinearCombination(
+        [(u, 2) for u in x_terms] + [(u, -1) for u in fibers[((4, 1),)]])
+    assert calls == []
+
+
+def test_x_basis_of_one_part_at_large_n():
+    # |G wr S_9| = 2^9 * 9! is 185,794,560, but X_(9:0) has one term
+    G = cyclic(2)
+    assert x_basis(G, ((9, 0),)) == LinearCombination.basis(wreath_identity(9))
+
+
+def test_sigma_to_x_refuses_on_the_sum_of_fiber_sizes():
+    # fibers of 3!/(1!1!1!) = 6 and 3!/(2!1!) = 3 partitions: each is under
+    # a limit of 8, their sum is not
+    G = cyclic(1)
+    coords = LinearCombination({((1, 0), (1, 0), (1, 0)): 1, ((2, 0), (1, 0)): 1})
+    with pytest.raises(SizeLimitError) as info:
+        sigma_to_x(G, coords, limit=8)
+    assert info.value.estimate == 9
+    assert len(sigma_to_x(G, coords, limit=9)) == 6
+
+
+def test_y_from_x_refuses_before_listing_coarsenings():
+    # 40 parts of one color have 2**39 coarsenings; X_comp's 40! terms are
+    # refused before any of them is listed
+    with pytest.raises(SizeLimitError) as info:
+        y_from_x(cyclic(1), ((1, 0),) * 40)
+    assert "X vector expansion" in str(info.value)

@@ -119,6 +119,14 @@ def test_cyclic_order_guard():
     assert info.value.estimate == 2237 * 2237
 
 
+def test_from_table_order_guard():
+    # refused on the row count, as cyclic(2237) is, before any validation
+    with pytest.raises(SizeLimitError) as info:
+        from_table([[0]] * 2237)
+    assert info.value.estimate == 2237 * 2237
+    assert "group order must be at most 2236" in str(info.value)
+
+
 def test_klein_four_orders():
     G = klein_four()
     assert G.order == 4

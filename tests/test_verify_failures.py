@@ -67,6 +67,16 @@ def test_mobius_failure_report(monkeypatch):
     })
 
 
+def test_mobius_sees_a_wrong_descent_composition(monkeypatch):
+    # X vectors come from sigma acting on the identity chamber and Y vectors
+    # from the descent fibers, so a wrong descent composition shows; the
+    # left-ideal sweep reads no descent composition at all
+    plant(monkeypatch, "descent_composition", lambda f: lambda u: f(u)[::-1])
+    report = run_verification("mobius", cyclic(2), 3)
+    assert (report["passed"], len(report["failures"])) == (False, 12)
+    assert run_verification("left-ideal", cyclic(2), 3)["passed"]
+
+
 def test_left_ideal_sorting_route_failure_report(monkeypatch):
     plant(monkeypatch, "chamber_product_direct",
           lambda f: lambda group, partition, chamber: chamber)
@@ -135,6 +145,8 @@ def test_check_identities_is_the_identities_sweep():
 
 @pytest.mark.parametrize("target", ["theorem1", "mobius", "left-ideal"])
 def test_one_descent_fiber_pass_per_sweep(monkeypatch, target):
+    # X vectors are built without a pass; only mobius needs the Y vectors
+    passes = {"theorem1": 0, "mobius": 1, "left-ideal": 0}
     calls = []
 
     def counting(f):
@@ -146,7 +158,14 @@ def test_one_descent_fiber_pass_per_sweep(monkeypatch, target):
     plant(monkeypatch, "descent_fibers", counting)
     report = run_verification(target, cyclic(2), 2)
     assert report["passed"]
-    assert len(calls) == 1
+    assert len(calls) == passes[target]
+
+
+@pytest.mark.parametrize("sweep", [gwreath.verify_identities, gwreath.verify_prop1,
+                                   gwreath.verify_antihomomorphism])
+def test_library_sweeps_share_one_default_sample_count(sweep):
+    report = sweep(cyclic(1), 2, mode="sampled")
+    assert report["pairs_checked"] == gwreath.verify.DEFAULT_SAMPLES == 200
 
 
 @pytest.mark.parametrize("target", ["identities", "prop1", "theorem1"])
