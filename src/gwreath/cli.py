@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import sys
 
 from .errors import FormatError, SizeLimitError
@@ -45,6 +46,18 @@ def _emit(payload: str | dict, out_path: str | None) -> None:
         else:
             handle.write(payload)
         handle.write("\n")
+
+
+def _check_out(path: str) -> None:
+    """FormatError when ``path`` is a directory or its directory does not
+    exist, so that such an ``--out`` is refused before any work.  Nothing is
+    created or truncated here: an existing file is opened only by
+    ``_emit``, once the output is ready."""
+    if os.path.isdir(path):
+        raise FormatError(f"--out path {path} is a directory")
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise FormatError(f"--out path {path}: directory {directory} does not exist")
 
 
 def cmd_multiply(args) -> int:
@@ -173,13 +186,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         # FormatError, ParseError, GroupAxiomError and NotAChamberError
-        # included; OSError is an --out path that cannot be written
+        # included; OSError is an --out path that passed _check_out but
+        # still cannot be written, such as one without write permission
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

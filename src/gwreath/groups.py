@@ -128,7 +128,6 @@ def from_table(table, labels=None, name: str | None = None) -> FiniteGroup:
     """
     rows = _table_rows(table)
     m = len(rows)
-    _check_order(m, "group")
     if m == 0:
         raise FormatError("Cayley table must be non-empty")
     for i, row in enumerate(rows):
@@ -200,10 +199,13 @@ def _check_order(m: int, what: str) -> None:
 
 
 def _table_rows(table) -> list:
-    """The rows of ``table`` as lists; FormatError unless it is a list of lists."""
+    """The rows of ``table`` as lists; FormatError unless it is a list of
+    lists, and SizeLimitError, before any row is copied, when it has more
+    rows than ``_check_order`` allows."""
     sequence = (list, tuple)
     if not isinstance(table, sequence) or not all(isinstance(row, sequence) for row in table):
         raise FormatError("Cayley table must be a list of lists, one list per row")
+    _check_order(len(table), "group")
     return [list(row) for row in table]
 
 

@@ -17,9 +17,13 @@ colors that are forced: cell (i, j) gets col_color * row_color.  Skeletons
 depend on the two size sequences only, so ``_skeletons`` enumerates them
 once per pair of size sequences, in a bounded cache, and ``sigma_product``
 colors each cached skeleton by looking its cells up in the product's list
-of cell colors.  ``enumerate_compatible_matrices`` builds its matrices from
-the same skeletons, and ``structure_constant_table`` computes one row of
-products per orbit of recolorings that leave every cell color unchanged.
+of cell colors.  ``_walk_skeletons`` fills the cells row-major from one
+explicit stack of partial tables, so a composition of any length is
+walked: sigma of a thousand parts of size 1 times sigma_(1000) is one
+table of a thousand rows.  ``enumerate_compatible_matrices`` builds its
+matrices from the same skeletons, and ``structure_constant_table`` computes
+one row of products per orbit of recolorings that leave every cell color
+unchanged.
 """
 
 from __future__ import annotations
@@ -82,40 +86,39 @@ def matrix_is_compatible(group, matrix: CompatibleMatrix) -> bool:
     return True
 
 
-def _row_fills(total, caps):
-    """Non-negative vectors bounded by ``caps`` summing to ``total``, in
-    lexicographic order, pruned by remaining capacity."""
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    tail_capacity = sum(caps[1:])
-    low = max(0, total - tail_capacity)
-    high = min(caps[0], total)
-    for value in range(low, high + 1):
-        for rest in _row_fills(total - value, caps[1:]):
-            yield (value, *rest)
-
-
 def _walk_skeletons(row_sizes: tuple, col_sizes: tuple):
     """Every contingency table with these margins, once, in the lexicographic
-    order of ``_row_fills`` row by row.  Each is a ``(cell sizes, flat cell
+    order of its row-major cell values.  Each is a ``(cell sizes, flat cell
     indices)`` pair over its non-empty cells in row-major order; cell (i, j)
-    has flat index ``i * len(col_sizes) + j``."""
-    width = len(col_sizes)
+    has flat index ``i * len(col_sizes) + j``.
 
-    def rows(i, remaining, sizes, where):
-        if i == len(row_sizes):
+    A cell takes each value its column still allows that leaves its row
+    completable from the later columns, so every partial table completes;
+    pushing the largest value first walks the smallest first."""
+    width, cells = len(col_sizes), len(row_sizes) * len(col_sizes)
+    needs = (*row_sizes, 0)
+    # a partial table: its next cell, what that cell's row still needs, the
+    # column remainders and their sum from the cell's column on, and the
+    # sizes and flat indices of its non-empty cells
+    stack = [(0, row_sizes[0], col_sizes, sum(col_sizes), (), ())]
+    while stack:
+        k, need, remaining, free, sizes, where = stack.pop()
+        if k == cells:
             yield sizes, where
-            return
-        base = i * width
-        for fill in _row_fills(row_sizes[i], remaining):
-            filled = [(value, base + j) for j, value in enumerate(fill) if value]
-            yield from rows(i + 1, tuple(r - v for r, v in zip(remaining, fill)),
-                            sizes + tuple(value for value, _ in filled),
-                            where + tuple(k for _, k in filled))
-
-    return rows(0, col_sizes, (), ())
+            continue
+        i, j = divmod(k, width)
+        cap = remaining[j]
+        free -= cap
+        for value in range(min(cap, need), max(0, need - free) - 1, -1):
+            if value:
+                columns = (*remaining[:j], cap - value, *remaining[j + 1:])
+                filled = sizes + (value,), where + (k,)
+            else:
+                columns, filled = remaining, (sizes, where)
+            if j + 1 < width:
+                stack.append((k + 1, need - value, columns, free, *filled))
+            else:
+                stack.append((k + 1, needs[i + 1], columns, sum(columns), *filled))
 
 
 # The tables with margins a and b are the double cosets S_a \ S_n / S_b, so

@@ -14,6 +14,7 @@ Colors are element indices into a :class:`~gwreath.groups.FiniteGroup`.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from math import comb, factorial
 
@@ -147,24 +148,17 @@ def composition_sort_key(comp: ColoredComposition):
     return (len(comp), tuple(s for s, _ in comp), tuple(c for _, c in comp))
 
 
-def _compositions_into(n: int, parts: int):
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(1, n - parts + 2):
-        for rest in _compositions_into(n - first, parts - 1):
-            yield (first, *rest)
-
-
 def enumerate_colored_compositions(group, n: int, limit: int | None = DEFAULT_LIMIT):
-    """All colored compositions of n, in canonical order."""
+    """All colored compositions of n, in canonical order.  The sizes of each
+    length are read off cut points of 1..n-1 taken in lexicographic order."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     check_limit(count_colored_compositions(n, group.order), limit,
                 f"colored compositions of {n} over a group of order {group.order}")
     colors = range(group.order)
     for length in range(1, n + 1):
-        for sizes in _compositions_into(n, length):
+        for cuts in itertools.combinations(range(1, n), length - 1):
+            sizes = tuple(map(operator.sub, (*cuts, n), (0, *cuts)))
             for coloring in itertools.product(colors, repeat=length):
                 yield tuple(zip(sizes, coloring))
 

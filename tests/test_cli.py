@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import gwreath
+import gwreath.cli
 from gwreath.cli import main
 from gwreath.groups import group_from_spec
 from gwreath.invariant import structure_constant_table
@@ -148,6 +153,32 @@ def test_multiply_parse_error_exit_code(capsys):
     )
     assert code == 2
     assert "position" in err
+
+
+@pytest.mark.parametrize("operand,message", [
+    ("foo(1:0)", "expected 'sigma' or 'x' before '(', found 'foo' (at position 0)"),
+    ("sigma(0:0)", "part sizes must be positive (at position 6)"),
+    ("sigma(1:)", "expected a name (at position 8)"),
+])
+def test_multiply_combination_parse_errors(capsys, operand, message):
+    code, out, err = run(capsys, "multiply", "--group", "cyclic:1", "--n", "1",
+                         operand, "sigma(1:0)")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+ONES = "|".join(["1:0"] * 1000)
+
+
+@pytest.mark.parametrize("lhs,rhs,product", [
+    (f"sigma({ONES})", "sigma(1000:0)", f"sigma({ONES})"),
+    ("sigma(1000:0)", f"sigma({ONES})", f"sigma({ONES})"),
+    (f"X({ONES})", "X(1000:0)", f"X({ONES})"),
+], ids=["rows", "columns", "x"])
+def test_multiply_a_thousand_parts(capsys, lhs, rhs, product):
+    # one table of a thousand rows or columns: the guard's estimate is 1,
+    # and the walk over the table's cells takes no stack depth per part
+    code, out, err = run(capsys, "multiply", "--group", "cyclic:1", "--n", "1000", lhs, rhs)
+    assert (code, out, err) == (0, product + "\n", "")
 
 
 def test_bad_group_spec(capsys):
@@ -341,6 +372,30 @@ def test_out_path_that_cannot_be_written_is_usage_error(tmp_path, capsys, argv, 
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["missing-dir", "dir"])
+def test_out_path_refused_before_any_work(tmp_path, capsys, monkeypatch, target):
+    def build(*args, **kwargs):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(gwreath.cli, "structure_constant_table", build)
+    code, out, err = run(capsys, "structure-constants", "--group", "cyclic:2", "--n", "5",
+                         "--out", str(tmp_path / target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --out path ") and err.count("\n") == 1
+
+
+def test_out_file_untouched_by_a_refused_command(tmp_path, capsys):
+    # the early --out check creates and truncates nothing
+    kept, absent = tmp_path / "kept.json", tmp_path / "absent.json"
+    kept.write_text("kept", encoding="utf-8")
+    for path in (kept, absent):
+        code, out, _ = run(capsys, "structure-constants", "--group", "cyclic:2", "--n", "5",
+                           "--limit", "10", "--out", str(path))
+        assert (code, out) == (3, "")
+    assert kept.read_text(encoding="utf-8") == "kept"
+    assert not absent.exists()
+
+
 def test_structure_constants_output(capsys):
     code, out, _ = run(
         capsys, "structure-constants", "--group", "cyclic:1", "--n", "2",
@@ -490,3 +545,20 @@ def test_over_limit_pair_refused_before_any_product(capsys, target, extra, err):
     assert got == (err + ", over the limit of 5000000; raise the limit "
                    "(or pass limit=None) to force\n")
     assert elapsed < 2
+
+
+@pytest.mark.parametrize("extra,code,out", [
+    ((), 0, "PASS counts group=cyclic:2 n=3 checked=4 failures=0\n"),
+    (("--limit", "10"), 3, ""),
+])
+def test_python_m_gwreath(extra, code, out):
+    # the package's __main__, in a fresh interpreter that imports this gwreath
+    src = os.path.dirname(os.path.dirname(gwreath.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-m", "gwreath", "verify", "counts", "--group", "cyclic:2",
+         "--n", "3", "--format", "text", *extra],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (code, out)

@@ -135,6 +135,11 @@ def test_express_rejects_single_element_with_fat_fiber():
     assert descent_composition(witness[0]) == descent_composition(witness[1])
 
 
+def test_express_rejects_an_element_over_another_n():
+    with pytest.raises(ValueError, match="is not over 1..2"):
+        express_in_x_basis(cyclic(2), 2, LinearCombination.basis(wreath_identity(3)))
+
+
 def test_express_empty():
     assert express_in_x_basis(cyclic(2), 2, LinearCombination()) == LinearCombination()
 

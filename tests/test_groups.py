@@ -127,6 +127,15 @@ def test_from_table_order_guard():
     assert "group order must be at most 2236" in str(info.value)
 
 
+def test_from_table_order_guard_copies_no_row():
+    class Unreadable(list):
+        def __iter__(self):
+            raise AssertionError("a row was copied")
+
+    with pytest.raises(SizeLimitError, match="group order must be at most 2236"):
+        from_table([Unreadable()] * 2237)
+
+
 def test_klein_four_orders():
     G = klein_four()
     assert G.order == 4
@@ -150,6 +159,17 @@ def test_from_table_row_not_permutation():
 def test_from_table_identity_not_first():
     with pytest.raises(GroupAxiomError, match="identity"):
         from_table([[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("table,labels,error,message", [
+    ([], None, FormatError, "must be non-empty"),
+    ([[0]], ["a", "b"], FormatError, "expected 1 labels, got 2"),
+    ([[0, 1], [0, 1]], None, GroupAxiomError, "not a right identity: table\\[1\\]\\[0\\] = 0"),
+    ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], None, GroupAxiomError, "column 1 is not a permutation"),
+], ids=["empty", "label-count", "right-identity", "column"])
+def test_from_table_refusals(table, labels, error, message):
+    with pytest.raises(error, match=message):
+        from_table(table, labels=labels)
 
 
 def test_from_table_not_square():
@@ -281,3 +301,7 @@ def test_load_group_errors(tmp_path):
                            encoding="utf-8")
     with pytest.raises(FormatError):
         load_group(wrong_order)
+    array = tmp_path / "array.json"
+    array.write_text(json.dumps([[0]]), encoding="utf-8")
+    with pytest.raises(FormatError, match="must be a JSON object with a 'table' key"):
+        load_group(array)

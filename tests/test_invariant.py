@@ -115,9 +115,29 @@ def check_against_oracle(G, left, right):
     fast = list(enumerate_compatible_matrices(G, left, right))
     slow = oracle_matrices(G, left, right)
     assert len(fast) == len(set(fast))
-    assert set(fast) == set(slow)
+    assert fast == slow
     for matrix in fast:
         assert matrix_is_compatible(G, matrix)
+
+
+def size_sequences(n):
+    for length in range(1, n + 1):
+        for cuts in itertools.combinations(range(1, n), length - 1):
+            yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))
+
+
+# every pair of size sequences of one total n <= 5 whose oracle tries at
+# most 2 * 10^4 grids, colored in S_3 so that row and column colors do not
+# all commute
+ORACLE_PAIRS = [(a, b) for n in range(1, 6) for a in size_sequences(n)
+                for b in size_sequences(n) if (n + 1) ** (len(a) * len(b)) <= 2 * 10**4]
+
+
+@pytest.mark.parametrize("row_sizes,col_sizes", ORACLE_PAIRS)
+def test_enumeration_order_matches_oracle_on_every_small_shape(row_sizes, col_sizes):
+    left = tuple((size, (2 * i + 1) % 6) for i, size in enumerate(row_sizes))
+    right = tuple((size, (3 * i + 2) % 6) for i, size in enumerate(col_sizes))
+    check_against_oracle(symmetric(3), left, right)
 
 
 def commute(G, a, b):
@@ -289,6 +309,17 @@ def test_oracle_refuses_a_non_invariant_product(monkeypatch):
         "type fiber ((1, 0), (1, 0)) has non-constant coefficients: "
         "(((1,), 0), ((2,), 0)) -> 4 but (((2,), 0), ((1,), 0)) -> 0"
     )
+
+
+@pytest.mark.parametrize("left,message", [
+    ((), "at least one part"),
+    (((1, 0, 0),), "must be \\(size, color\\) pairs"),
+    (((0, 0),), "part sizes must be positive integers"),
+    (((1, 2),), "color 2 out of range 0..1"),
+])
+def test_malformed_composition_refused(left, message):
+    with pytest.raises(ValueError, match=message):
+        sigma_product(cyclic(2), left, ((1, 0),))
 
 
 def test_mismatched_totals():

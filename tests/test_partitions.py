@@ -290,6 +290,13 @@ def test_refinement_color_preservation():
     assert not is_refinement(((2, 1), (2, 0)), ((4, 1),))
 
 
+@pytest.mark.parametrize("enumerate_", [enumerate_colored_compositions,
+                                       enumerate_colored_partitions])
+def test_enumerations_refuse_n_zero(enumerate_):
+    with pytest.raises(ValueError, match="n must be positive, got 0"):
+        list(enumerate_(cyclic(2), 0))
+
+
 def test_refinement_total_mismatch():
     with pytest.raises(ValueError):
         is_refinement(((2, 0),), ((3, 0),))

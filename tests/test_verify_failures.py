@@ -105,6 +105,33 @@ def test_counts_failure_report(monkeypatch):
     assert pinned(report) == (False, 1, {"kind": "wreath-count", "enumerated": 8, "formula": 9})
 
 
+def test_counts_descent_fiber_failure_report(monkeypatch):
+    # a fiber map that loses the last fiber no longer covers G wr S_n
+    plant(monkeypatch, "descent_fibers",
+          lambda f: lambda group, n, limit: dict(list(f(group, n, limit).items())[:-1]))
+    report = run_verification("counts", cyclic(2), 2)
+    assert pinned(report) == (False, 1, {
+        "kind": "descent-fibers", "fiber_total": 7, "distinct": 7, "wreath_count": 8,
+    })
+
+
+def test_left_ideal_not_a_chamber_failure_report(monkeypatch):
+    # patched in gwreath.verify only: wreath's own chamber checks stay right
+    monkeypatch.setattr(gwreath.verify, "is_chamber", lambda partition: False)
+    report = run_verification("left-ideal", cyclic(2), 2)
+    # every product is then reported, 10 partitions times 8 chambers
+    assert pinned(report) == (False, 80, {
+        "kind": "not-a-chamber", "left": "({1,2}:0)", "right": "({1}:0|{2}:0)",
+    })
+
+
+def test_run_verification_refusals():
+    with pytest.raises(ValueError, match="unknown verification target 'nonsense'"):
+        run_verification("nonsense", cyclic(2), 2)
+    with pytest.raises(ValueError, match="mode must be 'exhaustive' or 'sampled', got 'bogus'"):
+        run_verification("prop1", cyclic(2), 2, mode="bogus")
+
+
 def test_identities_failure_report_on_non_associative_table():
     # a Latin square with identity 0 that is not associative, built without
     # validation: 1*1 = 2 but 1*(1*1) = 0 and (1*1)*1 = 2

@@ -175,3 +175,13 @@ def test_chamber_product_direct_requires_chamber():
     G = cyclic(2)
     with pytest.raises(NotAChamberError):
         chamber_product_direct(G, (((1, 2), 0),), (((1, 2), 0),))
+
+
+def test_chamber_product_direct_size_mismatch():
+    with pytest.raises(ValueError, match="size mismatch: 1..2 vs 1..1"):
+        chamber_product_direct(cyclic(2), (((1, 2), 0),), (((1,), 0),))
+
+
+def test_enumerate_wreath_refuses_n_zero():
+    with pytest.raises(ValueError, match="n must be positive, got 0"):
+        list(enumerate_wreath(cyclic(2), 0))
