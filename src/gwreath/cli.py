@@ -61,6 +61,8 @@ def _check_out(path: str) -> None:
 
 
 def cmd_multiply(args) -> int:
+    if not isinstance(args.rhs, str):  # argparse's [] after a second "--"
+        raise FormatError("the following arguments are required: rhs")
     group = group_from_spec(args.group)
     kind, lhs = parse_operand(args.lhs, group, args.n)
     rhs_kind, rhs = parse_operand(args.rhs, group, args.n)

@@ -230,7 +230,7 @@ def load_group(path) -> FiniteGroup:
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise FormatError(f"cannot read group file {path}: {exc}") from exc
     if not isinstance(data, dict) or "table" not in data:
         raise FormatError(f"group file {path} must be a JSON object with a 'table' key")

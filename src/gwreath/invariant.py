@@ -14,10 +14,11 @@ The two routes must agree; the brute-force one is the oracle.
 
 A compatible matrix is a skeleton, the sizes of its non-empty cells, plus
 colors that are forced: cell (i, j) gets col_color * row_color.  Skeletons
-depend on the two size sequences only, so ``_skeletons`` enumerates them
-once per pair of size sequences, in a bounded cache, and ``sigma_product``
-colors each cached skeleton by looking its cells up in the product's list
-of cell colors.  ``_walk_skeletons`` fills the cells row-major from one
+depend on the two size sequences only, so ``_skeletons`` walks them once
+per pair of size sequences, held by the rule of ``limits.held_walk``, and
+``sigma_product`` colors each skeleton by looking its cells up in the
+product's list of cell colors.  The oracle holds its type fibers by the
+same rule.  ``_walk_skeletons`` fills the cells row-major from one
 explicit stack of partial tables, so a composition of any length is
 walked: sigma of a thousand parts of size 1 times sigma_(1000) is one
 table of a thousand rows.  ``enumerate_compatible_matrices`` builds its
@@ -30,14 +31,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InvarianceViolationError
-from .limits import DEFAULT_LIMIT, check_limit
+from .limits import DEFAULT_LIMIT, check_limit, held_walk
 from .linear import LinearCombination
 from .parsing import document, render_composition
 from .partitions import (
-    _blocks_of_sizes,
     ColoredComposition,
     composition_sort_key,
     composition_total,
@@ -123,27 +122,14 @@ def _walk_skeletons(row_sizes: tuple, col_sizes: tuple):
 
 # The tables with margins a and b are the double cosets S_a \ S_n / S_b, so
 # there are at most min(n! / a!, n! / b!) of them, where a! is the product
-# of the factorials of a's sizes.  A shape whose bound is over this is
-# walked afresh on each call instead of being held in memory.  The bound is
-# decided here, once per shape: on every product it would add two counts to
-# calls that only color a few cells.
-_CACHED_TABLES = 10_000
-
-
-@lru_cache(maxsize=4096)
-def _skeletons(row_sizes: tuple, col_sizes: tuple) -> tuple | None:
-    """The skeletons of ``_walk_skeletons`` as a tuple, or None when the
-    shape may have more than ``_CACHED_TABLES`` of them."""
-    bound = min(count_partitions_of_sizes(row_sizes), count_partitions_of_sizes(col_sizes))
-    if bound > _CACHED_TABLES:
-        return None
-    return tuple(_walk_skeletons(row_sizes, col_sizes))
+# of the factorials of a's sizes; each has at most n non-empty cells, a size
+# and an index apiece.
+_skeletons = held_walk(_walk_skeletons, lambda rows, cols: 2 * sum(rows) * min(
+    count_partitions_of_sizes(rows), count_partitions_of_sizes(cols)))
 
 
 def _pair_skeletons(left: ColoredComposition, right: ColoredComposition):
-    row_sizes = tuple(size for size, _ in left)
-    col_sizes = tuple(size for size, _ in right)
-    return _skeletons(row_sizes, col_sizes) or _walk_skeletons(row_sizes, col_sizes)
+    return _skeletons(tuple(size for size, _ in left), tuple(size for size, _ in right))
 
 
 def _check_pair(group, left: ColoredComposition, right: ColoredComposition) -> None:
@@ -194,18 +180,10 @@ def sigma_product(group, left: ColoredComposition,
     ))
 
 
-@lru_cache(maxsize=4096)
-def _type_fiber(comp: ColoredComposition) -> tuple | None:
-    """The partitions of type ``comp`` as a tuple, or None when the shape
-    is over the bound of ``_blocks_of_sizes``, so that no large fiber is
-    kept."""
-    if _blocks_of_sizes(tuple(size for size, _ in comp)) is None:
-        return None
-    return tuple(enumerate_partitions_of_type(comp, limit=None))
-
-
-def _walk_fiber(comp: ColoredComposition):
-    return _type_fiber(comp) or enumerate_partitions_of_type(comp, limit=None)
+# The oracle reads each type fiber many times; each of its partitions holds
+# n points, as the blocks of ``_blocks_of_sizes`` do.
+_type_fiber = held_walk(lambda comp: enumerate_partitions_of_type(comp, limit=None),
+                        lambda comp: count_partitions_of_type(comp) * composition_total(comp))
 
 
 def sigma_product_bruteforce(group, left: ColoredComposition,
@@ -222,9 +200,9 @@ def sigma_product_bruteforce(group, left: ColoredComposition,
     check_limit(count_partitions_of_type(left) * count_partitions_of_type(right),
                 limit, "brute-force sigma product")
     # the right fiber is read once per left partition, so it alone is a tuple
-    right_fiber = tuple(_walk_fiber(right))
+    right_fiber = tuple(_type_fiber(right))
     acc: dict = {}
-    for p in _walk_fiber(left):
+    for p in _type_fiber(left):
         for q in right_fiber:
             product = multiply(group, p, q)
             acc[product] = acc.get(product, 0) + 1
@@ -235,7 +213,7 @@ def sigma_product_bruteforce(group, left: ColoredComposition,
     coeffs: dict = {}
     for comp in sorted(by_type, key=composition_sort_key):
         seen = by_type[comp]
-        fiber = iter(_walk_fiber(comp))
+        fiber = iter(_type_fiber(comp))
         head = next(fiber)
         first = seen.get(head, 0)
         for partition in fiber:
@@ -254,7 +232,7 @@ def invariant_mul(group, x: LinearCombination, y: LinearCombination,
     """Bilinear extension of ``sigma_product`` to sigma-basis combinations.
 
     The size guard bounds the compatible matrices of each term pair by the
-    smaller of its two type fibers (see ``_CACHED_TABLES``).
+    smaller of its two type fibers (see ``_skeletons``).
     """
     estimate = 0
     for left in x.keys():

@@ -193,7 +193,7 @@ def parse_combination(text: str, group, n: int | None = None):
     cursor = _Cursor(text)
     kind = None
     total = None
-    terms: dict = {}
+    terms = []
     while True:
         sign = 1
         while True:
@@ -230,7 +230,7 @@ def parse_combination(text: str, group, n: int | None = None):
                 f"atoms over different ground sets: 1..{total} vs "
                 f"1..{composition_total(comp)}"
             )
-        terms[comp] = terms.get(comp, 0) + coeff
+        terms.append((comp, coeff))
         if cursor.peek() not in ("+", "-"):
             break
     cursor.end()

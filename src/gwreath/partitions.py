@@ -9,16 +9,18 @@ Data is plain nested tuples so everything hashes and compares structurally:
 * a permutation is its one-line image tuple ``(p(1), ..., p(n))``.
 
 Colors are element indices into a :class:`~gwreath.groups.FiniteGroup`.
+The blocks of a partition type depend only on its sizes, so they are
+walked once per size sequence and held by the rule of
+``limits.held_walk``; every coloring zips its colors onto them.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from functools import lru_cache
 from math import comb, factorial
 
-from .limits import DEFAULT_LIMIT, check_limit
+from .limits import DEFAULT_LIMIT, check_limit, held_walk
 
 ColoredComposition = tuple
 ColoredPartition = tuple
@@ -175,22 +177,10 @@ def _partitions_by_sizes(available, sizes):
             yield (block, *rest)
 
 
-# The blocks of a type depend only on its sizes, so ``_blocks_of_sizes``
-# lists them once per size sequence and every coloring of that sequence
-# zips its colors onto the same list.  A shape whose partitions hold more
-# than this many points in all (count times n) is walked afresh on each
-# call instead, so a lazy enumeration at large n pins no list.
-_CACHED_POINTS = 100_000
-
-
-@lru_cache(maxsize=1024)
-def _blocks_of_sizes(sizes: tuple) -> tuple | None:
-    """The block tuples of ``_partitions_by_sizes`` over 1..n as a tuple, or
-    None when the shape is over ``_CACHED_POINTS``."""
-    n = sum(sizes)
-    if count_partitions_of_sizes(sizes) * n > _CACHED_POINTS:
-        return None
-    return tuple(_partitions_by_sizes(tuple(range(1, n + 1)), sizes))
+# each of the partitions of a size sequence holds n points
+_blocks_of_sizes = held_walk(
+    lambda sizes: _partitions_by_sizes(tuple(range(1, sum(sizes) + 1)), sizes),
+    lambda sizes: count_partitions_of_sizes(sizes) * sum(sizes))
 
 
 def enumerate_partitions_of_type(comp: ColoredComposition,
@@ -201,10 +191,7 @@ def enumerate_partitions_of_type(comp: ColoredComposition,
                 f"partitions of type {comp}")
     sizes = tuple(s for s, _ in comp)
     colors = tuple(c for _, c in comp)
-    all_blocks = _blocks_of_sizes(sizes)
-    if all_blocks is None:
-        all_blocks = _partitions_by_sizes(tuple(range(1, sum(sizes) + 1)), sizes)
-    for blocks in all_blocks:
+    for blocks in _blocks_of_sizes(sizes):
         yield tuple(zip(blocks, colors))
 
 

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +8,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gwreath
 import gwreath.cli
@@ -430,6 +435,20 @@ def test_structure_constants_bytes_on_stdout_and_out(tmp_path, capsys, spec, n):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
+# SHA-256 of the stdout of structure-constants, so that a change in the
+# order or the values of any product changes the bytes.
+@pytest.mark.parametrize("spec,n,digest", [
+    ("cyclic:2", 3, "84ddd06740159e25ec491fb00391f31afa6eee6544d7dfbac7562396c335e558"),
+    ("klein4", 2, "286cfc559d919b366f021ec05874ae0e0e2cc27340d7bfcb77c4ce60e568c625"),
+    ("symmetric:3", 2, "c31b65f9cbf9fbf1cdbcb4febf69fab713a5846e5acd197da10db0299eba143d"),
+    ("cyclic:3", 3, "a7bb02e7e14b01301829e6d99814f046f26ed13898d9868c53d7e4881147b1f6"),
+])
+def test_structure_constants_stdout_sha256(capsys, spec, n, digest):
+    code, out, err = run(capsys, "structure-constants", "--group", spec, "--n", str(n))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["multiply", "--group", "cyclic:2"]) == 2
     capsys.readouterr()
@@ -437,6 +456,28 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main(["multiply", "--group", "cyclic:2", "--n", "0", "x", "y"]) == 2
     capsys.readouterr()
+
+
+def test_stray_double_dash_after_the_operands_is_usage_error(capsys):
+    # argparse hands rhs over as [] when a second "--" follows the operands
+    code, out, err = run(capsys, "multiply", "--group", "klein4", "--n", "2",
+                         "--", "[(2:1)(1:0)]", "--")
+    assert (code, out) == (2, "")
+    assert err == "error: the following arguments are required: rhs\n"
+
+
+OPERAND_ALPHABET = "sigmaSIGMAxX()[]{}|:,;0123456789+-* \t\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(group=st.sampled_from(["cyclic:2", "klein4", "symmetric:3"]),
+       lhs=st.one_of(st.text(max_size=30), st.text(OPERAND_ALPHABET, max_size=30)),
+       rhs=st.one_of(st.text(max_size=30), st.text(OPERAND_ALPHABET, max_size=30)))
+@example(group="klein4", lhs="[(2:1)(1:0)]", rhs="--")
+def test_any_operand_text_gets_a_documented_exit_code(group, lhs, rhs):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["multiply", "--group", group, "--n", "2", "--", lhs, rhs])
+    assert code in (0, 2, 3)
 
 
 def test_help_exits_zero(capsys):
@@ -459,6 +500,17 @@ def test_malformed_group_file_is_usage_error(tmp_path, capsys, content):
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "must be a list" in err
+
+
+def test_deeply_nested_group_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "group.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    code, out, err = run(
+        capsys, "multiply", "--group", f"file:{path}", "--n", "1", "({1}:0)", "({1}:0)",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read group file {path}: ")
+    assert err.count("\n") == 1
 
 
 # The exact stdout of every other JSON document: the four multiply kinds and

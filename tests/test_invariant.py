@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwreath import invariant, partitions
+from gwreath import invariant, limits, partitions
 from gwreath.errors import InvarianceViolationError, SizeLimitError
 from gwreath.groups import cyclic, from_table, klein_four, symmetric
 from gwreath.invariant import (
@@ -23,6 +23,7 @@ from gwreath.partitions import (
     composition_total,
     count_partitions_of_type,
     enumerate_colored_compositions,
+    enumerate_partitions_of_type,
 )
 
 
@@ -195,17 +196,25 @@ def test_skeletons_cached_once_per_shape():
 
 
 def test_uncached_shapes_walked_afresh(monkeypatch):
-    # a shape with possibly more tables than _CACHED_TABLES is not held;
-    # the walk gives the same products
-    G = symmetric(3)
-    comps = list(enumerate_colored_compositions(G, 3))[::7]
-    cached = {(a, b): sigma_product(G, a, b) for a in comps for b in comps}
+    # a shape over the one bound of held walks is not held: each reading
+    # walks it afresh, in the held order, and each shape still misses once
+    # across colorings and relabelings
+    S3 = symmetric(3)
+    groups = (S3, relabeled(S3, (0, 3, 5, 1, 2, 4)))
+    comps = list(enumerate_colored_compositions(S3, 3))[::7]
+    cached = [(G, a, b, sigma_product(G, a, b)) for G in groups for a in comps for b in comps]
+    shapes = {(tuple(s for s, _ in a), tuple(s for s, _ in b)) for _, a, b, _ in cached}
+    held = {shape: invariant._skeletons(*shape) for shape in shapes}
     invariant._skeletons.cache_clear()
-    monkeypatch.setattr(invariant, "_CACHED_TABLES", 0)
+    monkeypatch.setattr(limits, "HELD_INTEGERS", 0)
     try:
-        for (a, b), product in cached.items():
+        for G, a, b, product in cached:
             assert sigma_product(G, a, b) == product
-            assert invariant._skeletons(tuple(s for s, _ in a), tuple(s for s, _ in b)) is None
+        for shape in shapes:
+            walked = invariant._skeletons(*shape)
+            assert not isinstance(walked, tuple)
+            assert tuple(walked) == tuple(walked) == held[shape]
+        assert invariant._skeletons.cache_info().misses == len(shapes)
     finally:
         invariant._skeletons.cache_clear()
 
@@ -270,19 +279,26 @@ def test_bruteforce_identity_case():
 
 
 def test_oracle_holds_no_fiber_over_the_bound(monkeypatch):
-    # a type fiber over _CACHED_POINTS is walked afresh on each call and not
-    # kept; the products are the same
+    # a type fiber over the one bound of held walks is walked afresh on each
+    # reading, in the order of enumerate_partitions_of_type, and not kept;
+    # the products are the same, and each type and each shape misses once
     G = cyclic(2)
     comps = list(enumerate_colored_compositions(G, 3))[::3]
     expected = {(a, b): sigma_product_bruteforce(G, a, b) for a in comps for b in comps}
     invariant._type_fiber.cache_clear()
     partitions._blocks_of_sizes.cache_clear()
-    monkeypatch.setattr(partitions, "_CACHED_POINTS", 0)
+    monkeypatch.setattr(limits, "HELD_INTEGERS", 0)
     try:
-        for (a, b), product in expected.items():
-            assert sigma_product_bruteforce(G, a, b) == product
+        for _ in range(2):
+            for (a, b), product in expected.items():
+                assert sigma_product_bruteforce(G, a, b) == product
+        types = invariant._type_fiber.cache_info().currsize
+        assert invariant._type_fiber.cache_info().misses == types
+        assert partitions._blocks_of_sizes.cache_info().misses == 4
         for comp in enumerate_colored_compositions(G, 3):
-            assert invariant._type_fiber(comp) is None
+            fiber = invariant._type_fiber(comp)
+            assert not isinstance(fiber, tuple)
+            assert tuple(fiber) == tuple(fiber) == tuple(enumerate_partitions_of_type(comp))
     finally:
         invariant._type_fiber.cache_clear()
         partitions._blocks_of_sizes.cache_clear()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwreath import partitions
+from gwreath import limits, partitions
 from gwreath.errors import SizeLimitError
 from gwreath.groups import cyclic, klein_four, symmetric
 from gwreath.limits import check_limit
@@ -236,18 +236,25 @@ def test_enumeration_order_is_the_chain(group, n):
 
 
 def test_shapes_over_the_bound_walked_afresh(monkeypatch):
-    # a shape over _CACHED_POINTS is not held; the walk yields the same
-    # partitions in the same order
+    # a shape over the one bound of held walks is not held; each reading
+    # walks it afresh and yields the same partitions in the same order, and
+    # each size sequence misses once across its colorings
     G = symmetric(3)
     expected = {n: list(chained_enumeration(G, n)) for n in (1, 2, 3)}
+    held = {sizes: partitions._blocks_of_sizes(sizes)
+            for sizes in {tuple(s for s, _ in comp)
+                          for n in expected for comp in enumerate_colored_compositions(G, n)}}
     partitions._blocks_of_sizes.cache_clear()
-    monkeypatch.setattr(partitions, "_CACHED_POINTS", 0)
+    monkeypatch.setattr(limits, "HELD_INTEGERS", 0)
     try:
         for n, items in expected.items():
             assert list(enumerate_colored_partitions(G, n)) == items
             assert list(enumerated_by_type(G, n)) == items
-            for comp in enumerate_colored_compositions(G, n):
-                assert partitions._blocks_of_sizes(tuple(s for s, _ in comp)) is None
+        assert partitions._blocks_of_sizes.cache_info().misses == len(held) == 1 + 2 + 4
+        for sizes, blocks in held.items():
+            walked = partitions._blocks_of_sizes(sizes)
+            assert not isinstance(walked, tuple)
+            assert tuple(walked) == tuple(walked) == blocks
     finally:
         partitions._blocks_of_sizes.cache_clear()
 
