@@ -9,26 +9,49 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from math import factorial, isqrt
 
 from .errors import FormatError, GroupAxiomError, SizeLimitError
 from .limits import DEFAULT_LIMIT
+from .parsing import NAME
 
 
-@dataclass(frozen=True)
 class FiniteGroup:
     """A finite group given by its Cayley table.
 
     ``table[a][b]`` is the index of the product a*b, in that order.  The
     order of the arguments is load-bearing everywhere colors multiply:
     non-abelian groups break silently if a call site swaps them.
+
+    Instances are immutable; equality and hashing read ``(order, table,
+    labels)`` and leave ``name`` out.  A plain class, not a dataclass, so
+    that importing the package does not load ``dataclasses`` and
+    ``inspect``.
     """
 
-    order: int
-    table: tuple
-    labels: tuple
-    name: str = field(default="group", compare=False)
+    __match_args__ = ("order", "table", "labels", "name")
+
+    def __init__(self, order: int, table: tuple, labels: tuple, name: str = "group"):
+        for attr, value in zip(self.__match_args__, (order, table, labels, name)):
+            object.__setattr__(self, attr, value)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.table, self.labels) == (other.order, other.table, other.labels)
+
+    def __hash__(self):
+        return hash((self.order, self.table, self.labels))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(order={self.order!r}, table={self.table!r}, "
+                f"labels={self.labels!r}, name={self.name!r})")
 
     @property
     def identity(self) -> int:
@@ -122,9 +145,10 @@ def from_table(table, labels=None, name: str | None = None) -> FiniteGroup:
     """Build a group from a raw Cayley table, validating all group axioms.
 
     Raises SizeLimitError when the m*m table is over ``DEFAULT_LIMIT``
-    entries, as ``cyclic`` does, FormatError for shape problems and
-    GroupAxiomError, naming the failing row or triple, when the table is
-    not a group with identity 0.
+    entries, as ``cyclic`` does, FormatError for shape problems and for a
+    label that is not a string matched whole by the grammar's name token
+    (``parsing.NAME``), and GroupAxiomError, naming the failing row or
+    triple, when the table is not a group with identity 0.
     """
     rows = _table_rows(table)
     m = len(rows)
@@ -145,7 +169,13 @@ def from_table(table, labels=None, name: str | None = None) -> FiniteGroup:
     elif not isinstance(labels, (list, tuple)):
         raise FormatError(f"labels must be a list, got {type(labels).__name__}")
     else:
-        labels = tuple(str(x) for x in labels)
+        for label in labels:
+            # a label is printed verbatim, so the grammar must read it back
+            if not isinstance(label, str) or not NAME.fullmatch(label):
+                raise FormatError(
+                    f"label {label!r} is not a name (letters, digits and underscores)"
+                )
+        labels = tuple(labels)
         if len(labels) != m:
             raise FormatError(f"expected {m} labels, got {len(labels)}")
         if len(set(labels)) != m:

@@ -29,8 +29,7 @@ unchanged.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .errors import InvarianceViolationError
 from .limits import DEFAULT_LIMIT, check_limit, held_walk
@@ -51,15 +50,12 @@ from .partitions import (
 from .semigroup import multiply
 
 
-@dataclass(frozen=True)
-class CompatibleMatrix:
+class CompatibleMatrix(namedtuple("CompatibleMatrix", "cells row_type col_type")):
     """A grid of cells, each ``None`` or ``(size, color)``, whose row sums
     match ``row_type``'s sizes, whose column sums match ``col_type``'s, and
     whose cell colors are forced to col_color * row_color."""
 
-    cells: tuple
-    row_type: ColoredComposition
-    col_type: ColoredComposition
+    __slots__ = ()
 
 
 def matrix_is_compatible(group, matrix: CompatibleMatrix) -> bool:

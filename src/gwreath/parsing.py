@@ -13,6 +13,8 @@ the group's name and n, then the document's own fields.
 
 from __future__ import annotations
 
+import re
+
 from .errors import ParseError
 from .linear import LinearCombination
 from .partitions import (
@@ -23,6 +25,11 @@ from .partitions import (
     validate_partition,
 )
 from .wreath import ColoredPermutation, validate_colored_permutation
+
+NAME = re.compile(r"\w+")
+"""The grammar's name token: a run of letters, digits and underscores
+(``str.isalnum`` or ``_``).  Colors, ``sigma`` and ``x`` are read with it,
+and a group label must match it whole."""
 
 
 class _Cursor:
@@ -58,7 +65,7 @@ class _Cursor:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer", start)
@@ -67,13 +74,11 @@ class _Cursor:
     def token(self) -> tuple[str, int]:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
+        match = NAME.match(self.text, start)
+        if match is None:
             raise self.error("expected a name", start)
-        return self.text[start:self.pos], start
+        self.pos = match.end()
+        return match.group(), start
 
     def end(self) -> None:
         self.skip_ws()
@@ -86,7 +91,7 @@ def _color(cursor: _Cursor, group) -> int:
     label_index = {label: i for i, label in enumerate(group.labels)}
     if word in label_index:
         return label_index[word]
-    if word.isdigit():
+    if word.isdecimal():
         index = int(word)
         if 0 <= index < group.order:
             return index
@@ -204,7 +209,7 @@ def parse_combination(text: str, group, n: int | None = None):
             else:
                 break
         coeff = sign
-        if cursor.peek().isdigit():
+        if cursor.peek().isdecimal():
             coeff = sign * cursor.integer()
             cursor.try_take("*")
         word, start = cursor.token()

@@ -171,6 +171,23 @@ def test_multiply_combination_parse_errors(capsys, operand, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_multiply_refuses_a_digit_that_is_not_decimal(capsys):
+    code, out, err = run(capsys, "multiply", "--group", "cyclic:1", "--n", "1",
+                         "sigma(\u00b2:0)", "sigma(1:0)")
+    assert (code, out, err) == (2, "", "error: expected an integer (at position 6)\n")
+
+
+@pytest.mark.parametrize("labels,label", [(["e", "x|y"], "'x|y'"), (["e", [1]], "[1]")])
+def test_group_file_labels_must_read_back(tmp_path, capsys, labels, label):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"table": [[0, 1], [1, 0]], "labels": labels}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "multiply", "--group", f"file:{path}", "--n", "2",
+                         "({1}:1|{2}:0)", "({1,2}:0)")
+    assert (code, out) == (2, "")
+    assert err == f"error: label {label} is not a name (letters, digits and underscores)\n"
+
+
 ONES = "|".join(["1:0"] * 1000)
 
 

@@ -1,4 +1,8 @@
+import copy
+import importlib.util
 import json
+import pathlib
+import pickle
 import re
 
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from gwreath.errors import FormatError, GroupAxiomError, SizeLimitError
 from gwreath.groups import (
+    FiniteGroup,
     cyclic,
     from_table,
     group_from_spec,
@@ -249,6 +254,48 @@ def test_light_associativity_test_accepts_relabeled_groups(G, rng):
     table = [[perm[G.table[inverse[a]][inverse[b]]] for b in range(G.order)]
              for a in range(G.order)]
     assert from_table(table).order == G.order
+
+
+def test_finite_group_contract():
+    G = FiniteGroup(2, ((0, 1), (1, 0)), ("0", "1"), name="cyclic:2")
+    assert G == FiniteGroup(order=2, table=((0, 1), (1, 0)), labels=("0", "1"))
+    assert G == cyclic(2) and hash(G) == hash(cyclic(2))
+    # equality and hash read (order, table, labels); the name is left out
+    assert FiniteGroup(2, G.table, G.labels, "renamed") == G
+    assert hash(FiniteGroup(2, G.table, G.labels, "renamed")) == hash(G)
+    assert G != FiniteGroup(2, G.table, ("e", "x")) and G != (2, G.table, G.labels)
+    assert FiniteGroup(1, ((0,),), ("0",)).name == "group"
+    for attr in ("order", "name", "fresh"):
+        with pytest.raises(AttributeError):
+            setattr(G, attr, 1)
+    with pytest.raises(AttributeError):
+        del G.table
+    assert repr(G) == ("FiniteGroup(order=2, table=((0, 1), (1, 0)), "
+                       "labels=('0', '1'), name='cyclic:2')")
+    for twin in (pickle.loads(pickle.dumps(G)), copy.deepcopy(G), copy.copy(G)):
+        assert (twin, twin.name, type(twin)) == (G, G.name, FiniteGroup)
+
+
+@pytest.mark.parametrize("label", ["x|y", "a b", "", " a", "(", "-1", 1, ["1"], None])
+def test_from_table_refuses_labels_the_grammar_cannot_read(label):
+    with pytest.raises(FormatError, match="is not a name"):
+        from_table([[0, 1], [1, 0]], labels=["e", label])
+
+
+def _benchmark_reference():
+    # benchmarks/reference.py imports no gwreath, so it loads on its own
+    path = pathlib.Path(__file__).parent.parent / "benchmarks" / "reference.py"
+    spec = importlib.util.spec_from_file_location("reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_groups_load_with_their_labels():
+    ref = _benchmark_reference()
+    for table in (ref.cyclic(8), ref.klein_four(), ref.symmetric(4), ref.dihedral4(),
+                  ref.quaternion8()):
+        assert from_table(table.table, table.labels).labels == tuple(table.labels)
 
 
 def test_from_table_duplicate_labels():

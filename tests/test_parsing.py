@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwreath.errors import ParseError
-from gwreath.groups import cyclic, klein_four, symmetric
+from gwreath.groups import cyclic, from_table, klein_four, symmetric
 from gwreath.linear import LinearCombination
 from gwreath.parsing import (
     detect_kind,
@@ -74,6 +76,25 @@ def test_error_positions():
     with pytest.raises(ParseError) as err:
         parse_composition("(2:1|x:0)", G)
     assert err.value.position == 5
+
+
+@pytest.mark.parametrize("parse,text,position", [
+    (parse_combination, "sigma(\u00b2:0)", 6),
+    (parse_partition, "({1,\u00b2}:0)", 4),
+    (parse_colored_permutation, "[(\u00b2:0)]", 2),
+    (parse_combination, "\u00b2*sigma(1:0)", 0),
+])
+def test_digits_that_are_not_decimal_are_parse_errors(parse, text, position):
+    # "\u00b2" (superscript two) passes str.isdigit but int() refuses it
+    with pytest.raises(ParseError) as err:
+        parse(text, cyclic(2))
+    assert err.value.position == position
+
+
+def test_a_non_decimal_color_is_an_unknown_color():
+    with pytest.raises(ParseError, match="unknown color '\u00b2'") as err:
+        parse_composition("(1:\u00b2)", cyclic(3))
+    assert err.value.position == 3
 
 
 def test_duplicate_member_rejected():
@@ -173,3 +194,55 @@ def test_parse_operand_kinds():
     assert parse_operand("2*X(2:1)", G, 2) == ("x", LinearCombination({((2, 1),): 2}))
     with pytest.raises(ParseError, match="bare"):
         parse_operand("(2:0)", G, 2)
+
+
+# Every printed element reads back as itself.  The file group has labels of
+# several characters, one of them ("2") also the index of another element,
+# so that the label wins.
+ROUND_TRIP_GROUPS = [
+    cyclic(3),
+    klein_four(),
+    symmetric(3),
+    from_table([[(a + b) % 4 for b in range(4)] for a in range(4)],
+               labels=["e", "r_1", "2", "R3x"], name="file:c4"),
+]
+
+
+@st.composite
+def compositions(draw, order, n):
+    cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    sizes, size = [], 1
+    for cut in cuts:
+        if cut:
+            sizes.append(size)
+            size = 0
+        size += 1
+    sizes.append(size)
+    return tuple((size, draw(st.integers(0, order - 1))) for size in sizes)
+
+
+@pytest.mark.parametrize("G", ROUND_TRIP_GROUPS, ids=lambda G: G.name)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_grammar_round_trip(G, data, n):
+    comp = data.draw(compositions(G.order, n))
+    assert parse_composition(render_composition(G, comp), G, n) == comp
+
+    points = data.draw(st.permutations(range(1, n + 1)))
+    blocks, start = [], 0
+    for size, color in data.draw(compositions(G.order, n)):
+        blocks.append((tuple(sorted(points[start:start + size])), color))
+        start += size
+    partition = tuple(blocks)
+    assert parse_partition(render_partition(G, partition), G, n) == partition
+
+    colors = data.draw(st.lists(st.integers(0, G.order - 1), min_size=n, max_size=n))
+    u = tuple(zip(data.draw(st.permutations(range(1, n + 1))), colors))
+    assert parse_colored_permutation(render_colored_permutation(G, u), G, n) == u
+
+    terms = data.draw(st.dictionaries(
+        compositions(G.order, n), st.integers(-5, 5).filter(bool), min_size=1, max_size=4))
+    combination = LinearCombination(terms)
+    for kind in ("sigma", "x"):
+        text = render_combination(G, kind, combination)
+        assert parse_combination(text, G, n) == (kind, combination)
