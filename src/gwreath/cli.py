@@ -66,8 +66,13 @@ def cmd_multiply(args) -> int:
     group = group_from_spec(args.group)
     kind, lhs = parse_operand(args.lhs, group, args.n)
     rhs_kind, rhs = parse_operand(args.rhs, group, args.n)
+    if kind is None or rhs_kind is None:
+        # the empty combination 0 takes the kind of a sigma or X operand
+        other = kind or rhs_kind or "sigma"
+        if other in ("sigma", "x"):
+            kind = rhs_kind = other
     if kind != rhs_kind:
-        raise FormatError(f"operands have different kinds: {kind} vs {rhs_kind}")
+        raise FormatError(f"operands have different kinds: {kind or 0} vs {rhs_kind or 0}")
 
     if kind == "partition":
         rendered = render_partition(group, multiply(group, lhs, rhs))

@@ -13,6 +13,9 @@ Two bases, both indexed by colored compositions:
 each partition of type comp writes its blocks in order, each increasing and
 in its own color, so no X vector needs ``descent_fibers``, the one pass
 over the wreath product.  ``y_to_x`` is the one inclusion-exclusion routine.
+``express_in_x_basis`` reads an element back in the X basis by counting
+each descent fiber through ``y_to_x``, so only ``y_basis`` and the sweeps
+that list the group make that pass.
 
 ``sigma_to_x`` sends each sigma basis vector of the invariant algebra to the
 matching X vector.  That map reverses products (Theorem 1): the image of
@@ -41,6 +44,7 @@ from .wreath import (
     chamber_to_wreath,
     descent_composition,
     enumerate_wreath,
+    validate_colored_permutation,
     wreath_mul,
     wreath_to_chamber,
 )
@@ -125,26 +129,33 @@ def express_in_x_basis(group, n: int, z: LinearCombination,
 
     ``z`` lies in the descent algebra exactly when its coefficients are
     constant on every descent fiber; the constants are the Y coordinates,
-    and inclusion-exclusion converts those to X coordinates.
+    and inclusion-exclusion converts those to X coordinates.  No pass over
+    the wreath product is made: z's terms with descent composition comp
+    cover Y_comp exactly when they agree and number |Y_comp|, which is
+    counted from ``y_to_x``.  Only a fiber that fails is walked, inside
+    X_comp, to name an element whose coefficient differs from the one of
+    z's first term there.  Each comp met counts its X_comp terms against
+    ``limit``; X_comp bounds both comp's coarsenings and that walk.
     """
-    fibers = descent_fibers(group, n, limit)
     buckets: dict = {}
     for u, coeff in z.items():
         if len(u) != n:
             raise ValueError(f"element {u} is not over 1..{n}")
+        validate_colored_permutation(u, group, n)
         buckets.setdefault(descent_composition(u), {})[u] = coeff
     y_coords: dict = {}
     for comp, seen in buckets.items():
-        fiber = fibers[comp]
-        first = seen.get(fiber[0], 0)
-        for u in fiber:
-            value = seen.get(u, 0)
-            if value != first:
-                raise NotInSpanError(
-                    "not in the descent algebra: elements with equal descent "
-                    f"composition {comp} carry coefficients {first} and {value}",
-                    witness=(fiber[0], u),
-                )
+        _check_x_terms(group, [comp], limit)
+        head, first = next(iter(seen.items()))
+        size = sum(c * count_partitions_of_type(b) for b, c in y_to_x({comp: 1}).items())
+        if len(seen) != size or any(value != first for value in seen.values()):
+            u = next(u for u in expand_x({comp: 1}).keys()
+                     if descent_composition(u) == comp and seen.get(u, 0) != first)
+            raise NotInSpanError(
+                "not in the descent algebra: elements with equal descent "
+                f"composition {comp} carry coefficients {first} and {seen.get(u, 0)}",
+                witness=(head, u),
+            )
         y_coords[comp] = first
     return y_to_x(y_coords)
 

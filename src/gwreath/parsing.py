@@ -3,7 +3,8 @@
     composition           (2:g1|1:g2)
     ordered partition     ({1,3}:g1|{2}:g2)
     colored permutation   [(3:g)(6:g)(4:g)]
-    combination           sigma(2:0|1:1) + 2*sigma(3:0)   or the same with x
+    combination           sigma(2:0|1:1) + 2*sigma(3:0)   or the same with x,
+                          or 0 for the empty combination
 
 Whitespace is ignored everywhere; colors may be written as labels or as
 element indices, labels winning; parse errors carry the exact offset.
@@ -193,8 +194,11 @@ def parse_combination(text: str, group, n: int | None = None):
     """Parse a linear combination of sigma(...) or x(...) atoms.
 
     Returns ``(kind, LinearCombination)`` with kind "sigma" or "x"; mixing
-    the two kinds in one expression is an error.
+    the two kinds in one expression is an error.  A bare ``0``, the
+    rendering of the empty combination, has no atoms and kind None.
     """
+    if text.strip() == "0":
+        return None, LinearCombination()
     cursor = _Cursor(text)
     kind = None
     total = None
@@ -261,7 +265,8 @@ def detect_kind(text: str) -> str:
 def parse_operand(text: str, group, n: int | None = None):
     """Parse any operand the CLI multiplies.
 
-    Returns ``(kind, value)`` with kind "partition", "wreath", "sigma" or "x".
+    Returns ``(kind, value)`` with kind "partition", "wreath", "sigma" or
+    "x", or None for the empty combination ``0``.
     """
     kind = detect_kind(text)
     if kind == "partition":

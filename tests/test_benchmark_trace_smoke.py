@@ -1,6 +1,6 @@
-"""A short traced run of the verify-sweep benchmark: the tracer wraps
-gwreath functions by name, and every operation's report is checked against
-``benchmarks/reference.py``, so the run must finish with no failed
+"""Short runs of the benchmark workloads: the tracer wraps gwreath functions
+by name, and every operation's output is checked against
+``benchmarks/reference.py``, so each run must finish with no failed
 operation."""
 
 import json
@@ -8,13 +8,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_verify_sweep_runs_clean():
+def run_clean(workload, trace):
     result = subprocess.run(
-        [sys.executable, str(ROOT / "benchmarks" / "run.py"), "--workload", "verify-sweep",
-         "--seed", "5", "--seconds", "1", "--trace", "1"],
+        [sys.executable, str(ROOT / "benchmarks" / "run.py"), "--workload", workload,
+         "--seed", "5", "--seconds", "1", "--trace", trace],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stdout + result.stderr
@@ -22,3 +24,12 @@ def test_traced_verify_sweep_runs_clean():
     assert summary["correct"] is True
     assert summary["failed"] == 0
     assert summary["attempted"] > 0
+
+
+def test_traced_verify_sweep_runs_clean():
+    run_clean("verify-sweep", "1")
+
+
+@pytest.mark.parametrize("workload", ["sigma-table", "algebra-calc"])
+def test_untraced_run_checks_clean(workload):
+    run_clean(workload, "0")

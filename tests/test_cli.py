@@ -151,6 +151,25 @@ def test_multiply_kind_mismatch_names_both_kinds(capsys):
     assert err == "error: operands have different kinds: sigma vs partition\n"
 
 
+def test_multiply_reads_back_the_empty_combination(capsys):
+    code, out, _ = run(
+        capsys, "multiply", "--group", "cyclic:1", "--n", "1",
+        "sigma(1:0) - sigma(1:0)", "sigma(1:0)",
+    )
+    assert (code, out) == (0, "0\n")
+    for lhs, rhs in [(out, "X(1:0)"), ("X(1:0)", out), (out, "sigma(1:0)")]:
+        assert run(capsys, "multiply", "--group", "cyclic:1", "--n", "1", lhs, rhs)[:2] == (
+            0, "0\n")
+    code, out, _ = run(
+        capsys, "multiply", "--group", "cyclic:1", "--n", "1", "--format", "json", "0", " 0 ")
+    assert code == 0
+    assert (json.loads(out)["kind"], json.loads(out)["product"]) == ("sigma", "0")
+    for lhs, rhs in [("0", "({1}:0)"), ("[(1:0)]", "0")]:
+        code, out, err = run(capsys, "multiply", "--group", "cyclic:1", "--n", "1", lhs, rhs)
+        assert (code, out) == (2, "")
+        assert "operands have different kinds" in err
+
+
 def test_multiply_parse_error_exit_code(capsys):
     code, _, err = run(
         capsys, "multiply", "--group", "cyclic:2", "--n", "2",

@@ -1,4 +1,8 @@
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gwreath.descent
 import gwreath.wreath
@@ -13,7 +17,7 @@ from gwreath.descent import (
     y_from_x,
 )
 from gwreath.errors import NotInSpanError, SizeLimitError
-from gwreath.groups import cyclic, symmetric
+from gwreath.groups import cyclic, klein_four, symmetric
 from gwreath.invariant import sigma_product
 from gwreath.linear import LinearCombination
 from gwreath.partitions import enumerate_colored_compositions, is_refinement
@@ -140,6 +144,15 @@ def test_express_rejects_an_element_over_another_n():
         express_in_x_basis(cyclic(2), 2, LinearCombination.basis(wreath_identity(3)))
 
 
+@pytest.mark.parametrize("u,message", [
+    (((1, 0), (1, 0)), "permutation of 1..2"),
+    (((1, 0), (2, 7)), "color 7 out of range"),
+])
+def test_express_rejects_an_element_that_is_not_colored_permutation(u, message):
+    with pytest.raises(ValueError, match=message):
+        express_in_x_basis(cyclic(2), 2, LinearCombination.basis(u))
+
+
 def test_express_empty():
     assert express_in_x_basis(cyclic(2), 2, LinearCombination()) == LinearCombination()
 
@@ -236,16 +249,25 @@ def test_x_vectors_never_enumerate_the_wreath_product(monkeypatch):
     x_terms = [u for coarser in (comp, ((3, 0), (1, 1))) for u in fibers[coarser]]
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return enumerate_wreath(*args, **kwargs)
+    def counting(function):
+        def counted(*args, **kwargs):
+            calls.append((function.__name__, args))
+            return function(*args, **kwargs)
+        return counted
 
     for module in (gwreath.descent, gwreath.wreath):
-        monkeypatch.setattr(module, "enumerate_wreath", counting)
+        monkeypatch.setattr(module, "enumerate_wreath", counting(enumerate_wreath))
+    monkeypatch.setattr(gwreath.descent, "descent_fibers", counting(descent_fibers))
     assert x_basis(G, comp) == LinearCombination((u, 1) for u in x_terms)
     assert y_from_x(G, comp) == LinearCombination((u, 1) for u in fibers[comp])
-    assert sigma_to_x(G, LinearCombination({comp: 2, ((4, 1),): -1})) == LinearCombination(
+    coords = LinearCombination({comp: 2, ((4, 1),): -1})
+    assert sigma_to_x(G, coords) == LinearCombination(
         [(u, 2) for u in x_terms] + [(u, -1) for u in fibers[((4, 1),)]])
+    # express_in_x_basis counts each fiber instead of listing it, in span or not
+    assert express_in_x_basis(G, 4, sigma_to_x(G, coords)) == coords
+    assert len(fibers[comp]) > 1
+    with pytest.raises(NotInSpanError):
+        express_in_x_basis(G, 4, LinearCombination.basis(fibers[comp][0]))
     assert calls == []
 
 
@@ -253,6 +275,58 @@ def test_x_basis_of_one_part_at_large_n():
     # |G wr S_9| = 2^9 * 9! is 185,794,560, but X_(9:0) has one term
     G = cyclic(2)
     assert x_basis(G, ((9, 0),)) == LinearCombination.basis(wreath_identity(9))
+
+
+def test_express_x_basis_of_one_part_at_large_n():
+    # answered by counting: Y_(9:0) is the identity alone, one of 2^9 * 9!
+    G = cyclic(2)
+    comp = ((9, 0),)
+    assert express_in_x_basis(G, 9, x_basis(G, comp)) == LinearCombination.basis(comp)
+
+
+def test_express_refuses_a_huge_fiber_at_once():
+    # the reversed permutation has descent composition (1^40), and X_(1^40)
+    # has 40! terms
+    u = tuple((value, 0) for value in range(40, 0, -1))
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="X vector expansion"):
+        express_in_x_basis(cyclic(1), 40, LinearCombination.basis(u))
+    assert time.perf_counter() - start < 1.0
+
+
+EXPRESS_CASES = [(cyclic(1), 3), (cyclic(2), 3), (cyclic(3), 2), (klein_four(), 2),
+                 (symmetric(3), 2)]
+
+
+@pytest.mark.parametrize("missing", [False, True], ids=["unequal", "missing"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_express_round_trips_and_names_an_off_fiber_witness(missing, data):
+    G, n = data.draw(st.sampled_from(EXPRESS_CASES))
+    comps = list(enumerate_colored_compositions(G, n))
+    coords = LinearCombination(data.draw(st.dictionaries(
+        st.sampled_from(comps), st.integers(-3, 3).filter(bool), max_size=4)))
+    z = sigma_to_x(G, coords)
+    assert express_in_x_basis(G, n, z) == coords
+
+    # change one coefficient inside a fiber of two or more elements
+    comp = data.draw(st.sampled_from([c for c in comps if len(y_from_x(G, c)) > 1]))
+    fiber = y_from_x(G, comp)
+    u = data.draw(st.sampled_from(sorted(fiber.keys())))
+    if not missing and z.coefficient(u) == 0:
+        z = z + fiber
+    old = z.coefficient(u)
+    if missing:
+        new = 0 if old else data.draw(st.integers(-3, 3).filter(bool))
+    else:
+        new = data.draw(st.integers(-3, 3).filter(lambda c: c not in (0, old)))
+    z = z + (new - old) * LinearCombination.basis(u)
+    with pytest.raises(NotInSpanError) as err:
+        express_in_x_basis(G, n, z)
+    a, b = err.value.witness
+    assert descent_composition(a) == descent_composition(b) == comp
+    assert z.coefficient(a) != z.coefficient(b)
+    assert (a in z and b in z) != missing
 
 
 def test_sigma_to_x_refuses_on_the_sum_of_fiber_sizes():

@@ -192,6 +192,7 @@ def test_parse_operand_kinds():
     assert parse_operand("sigma(2:0) - sigma(1:1|1:0)", G, 2) == (
         "sigma", LinearCombination({((2, 0),): 1, ((1, 1), (1, 0)): -1}))
     assert parse_operand("2*X(2:1)", G, 2) == ("x", LinearCombination({((2, 1),): 2}))
+    assert parse_operand(" 0\t", G, 2) == (None, LinearCombination())
     with pytest.raises(ParseError, match="bare"):
         parse_operand("(2:0)", G, 2)
 
@@ -246,3 +247,6 @@ def test_grammar_round_trip(G, data, n):
     for kind in ("sigma", "x"):
         text = render_combination(G, kind, combination)
         assert parse_combination(text, G, n) == (kind, combination)
+        # the empty combination prints as 0, which has no kind of its own
+        text = render_combination(G, kind, LinearCombination())
+        assert parse_combination(text, G, n) == (None, LinearCombination())
