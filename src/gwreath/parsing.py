@@ -89,9 +89,8 @@ class _Cursor:
 
 def _color(cursor: _Cursor, group) -> int:
     word, start = cursor.token()
-    label_index = {label: i for i, label in enumerate(group.labels)}
-    if word in label_index:
-        return label_index[word]
+    if word in group.labels:
+        return group.labels.index(word)
     if word.isdecimal():
         index = int(word)
         if 0 <= index < group.order:

@@ -59,7 +59,7 @@ def validate_partition(partition, group=None, n: int | None = None) -> None:
         block, color = entry
         if len(block) == 0:
             raise ValueError("blocks must be non-empty")
-        if list(block) != sorted(block):
+        if list(block) != sorted(set(block)):
             raise ValueError(f"block members must be strictly increasing, got {block!r}")
         if seen & set(block):
             raise ValueError(f"blocks are not disjoint: {sorted(seen & set(block))} repeated")
@@ -138,6 +138,8 @@ def colored_partition_estimates(n: int, order: int):
     then the exact count.  The term is a lower bound that costs a
     factorial, the count costs O(n^2) big-integer steps, so a size guard
     that checks both in turn refuses a large n on the term alone."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     yield factorial(n) * order**n
     yield count_colored_partitions(n, order)
 
@@ -197,8 +199,6 @@ def enumerate_partitions_of_type(comp: ColoredComposition,
 
 def enumerate_colored_partitions(group, n: int, limit: int | None = DEFAULT_LIMIT):
     """All ordered colored partitions of {1..n}, grouped by type."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
     for estimate in colored_partition_estimates(n, group.order):
         check_limit(estimate, limit,
                     f"ordered colored partitions of {n} over a group of order {group.order}")

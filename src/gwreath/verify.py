@@ -11,17 +11,21 @@ name), mode, seed (None unless sampled), pairs_checked, failures and
 passed; ``identities`` adds element_count and ``counts`` the three
 enumerated counts.  Reports are deterministic for a fixed configuration,
 the seed included.  X vectors come from ``expand_x``; only ``mobius``
-and ``counts`` run ``descent_fibers``.  A sampled sweep refuses more
-samples than the limit, and ``prop1`` and ``theorem1`` check the size of
-every pair's product against the limit before they make the first one, so
-an over-limit pair is refused at once however late it is drawn.
+and ``counts`` run ``descent_fibers``.
+
+The three pair sweeps share one size guard, ``_check_sweep``, run before
+anything is enumerated.  Exhaustively each does the work of every colored
+partition paired with every other, so it is refused when that count
+squared is over the limit; a sampled sweep refuses more samples than the
+limit, and ``_pairs`` refuses the first drawn pair of compositions whose
+fibers multiply to more than the limit before any pair is checked.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from functools import partial
+from functools import cache, partial
 
 from .descent import (
     descent_fibers,
@@ -68,24 +72,40 @@ def _envelope(target: str, group, n: int, mode: str, seed, pairs: int, failures:
 DEFAULT_SAMPLES = 200
 
 
-def _check_sampling(mode: str, samples: int, limit: int | None) -> None:
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+def _check_sweep(target: str, group, n: int, mode: str, samples: int,
+                 limit: int | None) -> None:
+    """The size guard of the pair sweeps.  Exhaustively, identities checks
+    a pair of colored partitions, prop1 expands a brute-force product and
+    theorem1 multiplies a pair of X terms for every pair of colored
+    partitions (the fibers F_a hold each partition once, and |X_a| = |F_a|),
+    so each is refused on that count squared."""
     if mode == "sampled":
         if samples < 1:
             raise ValueError(f"sample count must be at least 1, got {samples}")
         check_limit(samples, limit, "sampled sweep")
+    elif mode == "exhaustive":
+        for count in colored_partition_estimates(n, group.order):
+            check_limit(count ** 2, limit,
+                        f"exhaustive {target} sweep at n={n}, |G|={group.order}")
+    else:
+        raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
 
 
-def _pairs(items: list, mode: str, samples: int, seed: int):
-    """A lazy iterator over every ordered pair of ``items``, or over
+def _pairs(items: list, mode: str, samples: int, seed: int, limit: int | None = None,
+           what: str | None = None):
+    """A lazy iterator over every ordered pair of ``items``, or a list of
     ``samples`` pairs drawn with ``seed``; returns it and the seed to record
-    (None if exhaustive)."""
+    (None if exhaustive).  Given ``what``, the items are compositions and
+    the first drawn pair whose fibers multiply to more than ``limit`` is
+    refused as ``what`` before any pair is returned."""
     if mode == "exhaustive":
         return ((a, b) for a in items for b in items), None
     rng = random.Random(seed)
-    pairs = ((items[rng.randrange(len(items))], items[rng.randrange(len(items))])
-             for _ in range(samples))
+    pairs = [(items[rng.randrange(len(items))], items[rng.randrange(len(items))])
+             for _ in range(samples)]
+    if what is not None:
+        for a, b in pairs:
+            check_limit(count_partitions_of_type(a) * count_partitions_of_type(b), limit, what)
     return pairs, seed
 
 
@@ -107,11 +127,7 @@ def verify_identities(group, n: int, mode: str = "exhaustive",
     """Sweep x^(|G|+1) = x and x*y*x^|G| = x*y over the partition semigroup,
     stopping at the first failure.  Exhaustive mode checks every power before
     any pair; sampled mode checks x's power when x is first drawn."""
-    _check_sampling(mode, samples, limit)
-    if mode == "exhaustive":
-        for count in colored_partition_estimates(n, group.order):
-            check_limit(count ** 2, limit,
-                        f"identity sweep over all pairs at n={n}, |G|={group.order}")
+    _check_sweep("identities", group, n, mode, samples, limit)
     elements = list(enumerate_colored_partitions(group, n, limit))
     powers = {}  # x -> x^|G|, computed once per element
     pairs, used_seed = _pairs(elements, mode, samples, seed)
@@ -151,24 +167,11 @@ def verify_prop1(group, n: int, mode: str = "exhaustive",
                  samples: int = DEFAULT_SAMPLES, seed: int = 0,
                  limit: int | None = DEFAULT_LIMIT) -> dict:
     """Matrix-rule products against brute-force expansion, pair by pair.
-    Every pair's brute-force size is checked before the first product."""
-    _check_sampling(mode, samples, limit)
+    No product is made before the whole sweep passes the size guard."""
+    _check_sweep("prop1", group, n, mode, samples, limit)
     comps = list(enumerate_colored_compositions(group, n, limit))
-    size = count_partitions_of_type
-    if mode == "exhaustive":
-        check_limit(len(comps) ** 2, limit,
-                    f"product-rule sweep over composition pairs at n={n}")
-        # only a row whose left fiber times the largest one is over the
-        # limit holds an over-limit pair; the first such pair is refused
-        top = max(map(size, comps))
-        pairs = ((a, b) for a in comps if limit is not None and size(a) * top > limit
-                 for b in comps)
-    else:
-        pairs = _pairs(comps, mode, samples, seed)[0]
-    for a, b in pairs:
-        check_limit(size(a) * size(b), limit, "brute-force sigma product")
+    pairs, used_seed = _pairs(comps, mode, samples, seed, limit, "brute-force sigma product")
     render = partial(render_composition, group)
-    pairs, used_seed = _pairs(comps, mode, samples, seed)
     failures, checked = [], 0
     for a, b in pairs:
         checked += 1
@@ -205,32 +208,25 @@ def verify_antihomomorphism(group, n: int, mode: str = "exhaustive",
     Each failure records the pair, the first basis key where the sides
     differ, and both coefficients.
     """
-    _check_sampling(mode, samples, limit)
+    _check_sweep("theorem1", group, n, mode, samples, limit)
     comps = list(enumerate_colored_compositions(group, n, limit))
-    # the X vectors hold one term per colored partition in all, and the
-    # exhaustive sweep multiplies every X vector by every other
-    for x_terms in colored_partition_estimates(n, group.order):
-        check_limit(x_terms ** 2 if mode == "exhaustive" else x_terms, limit,
-                    f"{mode} anti-homomorphism sweep at n={n}, |G|={group.order}")
-    x_vectors = {comp: expand_x({comp: 1}) for comp in comps}
+    pairs, used_seed = _pairs(
+        comps, mode, samples, seed, limit,
+        f"group-algebra product of two X vectors at n={n}, |G|={group.order}")
+    # built on first use, so a sampled sweep builds only the X vectors of its
+    # pairs and their products, whose terms the pair's check bounds
+    x_vector = cache(lambda comp: expand_x({comp: 1}))
     render = partial(render_composition, group)
     render_key = partial(render_colored_permutation, group)
-    if mode == "sampled":
-        # exhaustive pairs are within the guard above; sampled ones are all
-        # checked before the first product
-        for a, b in _pairs(comps, mode, samples, seed)[0]:
-            check_limit(len(x_vectors[b]) * len(x_vectors[a]), limit,
-                        f"group-algebra product of two X vectors at n={n}, |G|={group.order}")
-    pairs, used_seed = _pairs(comps, mode, samples, seed)
     failures, checked = [], 0
     for a, b in pairs:
         checked += 1
         lhs = LinearCombination(
             (u, coeff * c)
             for comp, coeff in sigma_product(group, a, b).items()
-            for u, c in x_vectors[comp].items()
+            for u, c in x_vector(comp).items()
         )
-        rhs = group_algebra_mul(group, x_vectors[b], x_vectors[a])
+        rhs = group_algebra_mul(group, x_vector(b), x_vector(a))
         difference = _difference(lhs, rhs, render_key,
                                  ("lhs_coefficient", "rhs_coefficient"))
         if difference:

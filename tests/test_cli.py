@@ -623,7 +623,8 @@ def test_verify_json_bytes(capsys, argv, expected):
      "an estimated 6350400 items"),
     # exhaustive: 64**2 composition pairs, but (1|1|...|1) times itself
     # is 5040**2 partition products
-    ("prop1", (), "error: brute-force sigma product would produce an estimated 6350400 items"),
+    ("prop1", (), "error: exhaustive prop1 sweep at n=7, |G|=1 would produce an estimated "
+     "25401600 items"),
 ])
 def test_over_limit_pair_refused_before_any_product(capsys, target, extra, err):
     started = time.perf_counter()
@@ -633,6 +634,40 @@ def test_over_limit_pair_refused_before_any_product(capsys, target, extra, err):
     assert got == (err + ", over the limit of 5000000; raise the limit "
                    "(or pass limit=None) to force\n")
     assert elapsed < 2
+
+
+@pytest.mark.parametrize("target", ["identities", "prop1", "theorem1"])
+def test_exhaustive_pair_sweeps_share_one_guard(capsys, target):
+    # 9002 colored partitions at cyclic:2, n=5: 3840**2, the square of the
+    # cheap first term, is over the default limit already
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", target, "--group", "cyclic:2", "--n", "5")
+    elapsed = time.perf_counter() - started
+    assert (code, out) == (3, "")
+    assert err == (f"error: exhaustive {target} sweep at n=5, |G|=2 would produce an "
+                   "estimated 14745600 items, over the limit of 5000000; raise the limit "
+                   "(or pass limit=None) to force\n")
+    assert elapsed < 0.5
+
+
+def test_exhaustive_prop1_counts_every_product(capsys):
+    # 26**2 composition pairs and at most 6**2 products per pair fit under
+    # 1000, but the sweep expands 74**2 products in all; 48**2, the square
+    # of the cheap first term, is refused already
+    code, out, err = run(capsys, "verify", "prop1", "--group", "cyclic:2", "--n", "3",
+                         "--limit", "1000")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: exhaustive prop1 sweep at n=3, |G|=2 would produce "
+                          "an estimated 2304 items")
+
+
+def test_sampled_theorem1_builds_only_the_x_vectors_it_uses(capsys):
+    # the 74 X terms in all are over the limit, the drawn pair's are not
+    code, out, err = run(capsys, "verify", "theorem1", "--group", "cyclic:2", "--n", "3",
+                         "--mode", "sampled", "--samples", "1", "--seed", "0",
+                         "--limit", "60", "--format", "text")
+    assert (code, err) == (0, "")
+    assert out.startswith("PASS theorem1 group=cyclic:2 n=3 checked=1 ")
 
 
 @pytest.mark.parametrize("extra,code,out", [

@@ -75,6 +75,15 @@ def test_apply_size_mismatch():
         apply_permutation((1, 2), (((1, 2, 3), 0),))
 
 
+@pytest.mark.parametrize("partition", [
+    (((1, 1), 0), ((2,), 0)),  # a member repeated inside one block
+    (((2, 1), 0),),
+])
+def test_validate_partition_needs_strictly_increasing_blocks(partition):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        validate_partition(partition, cyclic(1), 2)
+
+
 @settings(deadline=None)
 @given(st.data())
 def test_action_is_compatible_with_composition(data):

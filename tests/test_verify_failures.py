@@ -199,3 +199,9 @@ def test_library_sweeps_share_one_default_sample_count(sweep):
 def test_sampled_sweep_rejects_zero_samples(target):
     with pytest.raises(ValueError, match="at least 1"):
         run_verification(target, cyclic(2), 2, mode="sampled", samples=0)
+
+
+@pytest.mark.parametrize("target", ["identities", "prop1", "theorem1"])
+def test_pair_sweeps_refuse_a_negative_n(target):
+    with pytest.raises(ValueError, match="n must be positive, got -1"):
+        run_verification(target, cyclic(2), -1)
