@@ -30,6 +30,7 @@ unchanged.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from math import factorial
 
 from .errors import InvarianceViolationError
 from .limits import DEFAULT_LIMIT, check_limit, held_walk
@@ -260,10 +261,21 @@ def structure_constant_table(group, n: int,
     ``products`` maps "i,j" to a sparse ``[[basis_index, coefficient], ...]``;
     equal products share one list object, so copy an entry before changing it.
     """
+    what = f"structure constant table at n={n}, |G|={group.order}"
     basis_count = count_colored_compositions(n, group.order)
-    check_limit(basis_count * basis_count, limit,
-                f"structure constant table at n={n}, |G|={group.order}")
+    check_limit(basis_count * basis_count, limit, what)
     basis = list(enumerate_colored_compositions(group, n, limit))
+    # A computed row (see below) pairs a left factor whose first color is the
+    # identity with every right factor, and a pair colors at most
+    # min(|F_a|, |F_b|) skeletons, the bound ``invariant_mul`` uses: n! for
+    # each of the |G|^(2n-1) pairs of singleton parts, and at most n! for
+    # each of the basis^2 / |G| pairs, so the sum is taken only above that.
+    check_limit(factorial(n) * group.order ** (2 * n - 1), limit, what)
+    if limit is not None and basis_count * basis_count // group.order * factorial(n) > limit:
+        fibers = [count_partitions_of_type(comp) for comp in basis]
+        check_limit(sum(min(left, right)
+                        for left, comp in zip(fibers, basis) if comp[0][1] == 0
+                        for right in fibers), limit, what)
     index = {comp: i for i, comp in enumerate(basis)}
     # Multiplying every color of a by g on the left, and every color of b by
     # g^-1 on the right, leaves each cell color col_color * row_color as it

@@ -93,8 +93,8 @@ def apply_permutation(perm: Permutation, partition: ColoredPartition) -> Colored
 def count_colored_compositions(n: int, order: int) -> int:
     """sum_k C(n-1, k-1) order^k in closed form: the first part takes one of
     ``order`` colors, and each of the n-1 gaps is either no cut or a cut that
-    opens a part of one of ``order`` colors."""
-    return order * (order + 1) ** (n - 1)
+    opens a part of one of ``order`` colors.  There are none for n < 1."""
+    return order * (order + 1) ** (n - 1) if n >= 1 else 0
 
 
 def count_partitions_of_sizes(sizes: tuple) -> int:

@@ -13,12 +13,13 @@ enumerated counts.  Reports are deterministic for a fixed configuration,
 the seed included.  X vectors come from ``expand_x``; only ``mobius``
 and ``counts`` run ``descent_fibers``.
 
-The three pair sweeps share one size guard, ``_check_sweep``, run before
-anything is enumerated.  Exhaustively each does the work of every colored
-partition paired with every other, so it is refused when that count
-squared is over the limit; a sampled sweep refuses more samples than the
-limit, and ``_pairs`` refuses the first drawn pair of compositions whose
-fibers multiply to more than the limit before any pair is checked.
+All six targets share one size guard, ``_check_sweep``, run before
+anything is enumerated.  The last column of ``_SWEEPS`` states each one's
+exhaustive work: the colored partition count squared for the pair sweeps,
+that count times |G wr S_n| for ``left-ideal``, the count for ``counts``
+and the X terms expanded for ``mobius``.  A sampled sweep refuses more
+samples than the limit, and ``_pairs`` the first drawn pair whose fibers
+multiply to more than the limit, before any pair is checked.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .partitions import (
     count_partitions_of_type,
     enumerate_colored_compositions,
     enumerate_colored_partitions,
+    stirling2,
 )
 from .semigroup import multiply, power
 from .wreath import (
@@ -72,20 +74,18 @@ def _envelope(target: str, group, n: int, mode: str, seed, pairs: int, failures:
 DEFAULT_SAMPLES = 200
 
 
-def _check_sweep(target: str, group, n: int, mode: str, samples: int,
-                 limit: int | None) -> None:
-    """The size guard of the pair sweeps.  Exhaustively, identities checks
-    a pair of colored partitions, prop1 expands a brute-force product and
-    theorem1 multiplies a pair of X terms for every pair of colored
-    partitions (the fibers F_a hold each partition once, and |X_a| = |F_a|),
-    so each is refused on that count squared."""
+def _check_sweep(target: str, group, n: int, limit: int | None,
+                 mode: str = "exhaustive", samples: int = 0) -> None:
+    """The size guard of every target: an exhaustive sweep is refused on the
+    first estimate of its work (the last column of ``_SWEEPS``) over the
+    limit, and a sampled one on its sample count."""
     if mode == "sampled":
         if samples < 1:
             raise ValueError(f"sample count must be at least 1, got {samples}")
         check_limit(samples, limit, "sampled sweep")
     elif mode == "exhaustive":
-        for count in colored_partition_estimates(n, group.order):
-            check_limit(count ** 2, limit,
+        for estimate in _SWEEPS[target][2](n, group.order):
+            check_limit(estimate, limit,
                         f"exhaustive {target} sweep at n={n}, |G|={group.order}")
     else:
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
@@ -127,7 +127,7 @@ def verify_identities(group, n: int, mode: str = "exhaustive",
     """Sweep x^(|G|+1) = x and x*y*x^|G| = x*y over the partition semigroup,
     stopping at the first failure.  Exhaustive mode checks every power before
     any pair; sampled mode checks x's power when x is first drawn."""
-    _check_sweep("identities", group, n, mode, samples, limit)
+    _check_sweep("identities", group, n, limit, mode, samples)
     elements = list(enumerate_colored_partitions(group, n, limit))
     powers = {}  # x -> x^|G|, computed once per element
     pairs, used_seed = _pairs(elements, mode, samples, seed)
@@ -168,7 +168,7 @@ def verify_prop1(group, n: int, mode: str = "exhaustive",
                  limit: int | None = DEFAULT_LIMIT) -> dict:
     """Matrix-rule products against brute-force expansion, pair by pair.
     No product is made before the whole sweep passes the size guard."""
-    _check_sweep("prop1", group, n, mode, samples, limit)
+    _check_sweep("prop1", group, n, limit, mode, samples)
     comps = list(enumerate_colored_compositions(group, n, limit))
     pairs, used_seed = _pairs(comps, mode, samples, seed, limit, "brute-force sigma product")
     render = partial(render_composition, group)
@@ -186,6 +186,7 @@ def verify_prop1(group, n: int, mode: str = "exhaustive",
 def verify_mobius(group, n: int, limit: int | None = DEFAULT_LIMIT) -> dict:
     """Inclusion-exclusion round trip: the Y vector recovered from X vectors
     must equal the sum over its descent fiber, for every composition."""
+    _check_sweep("mobius", group, n, limit)
     comps = list(enumerate_colored_compositions(group, n, limit))
     fibers = descent_fibers(group, n, limit)
     render = partial(render_colored_permutation, group)
@@ -208,7 +209,7 @@ def verify_antihomomorphism(group, n: int, mode: str = "exhaustive",
     Each failure records the pair, the first basis key where the sides
     differ, and both coefficients.
     """
-    _check_sweep("theorem1", group, n, mode, samples, limit)
+    _check_sweep("theorem1", group, n, limit, mode, samples)
     comps = list(enumerate_colored_compositions(group, n, limit))
     pairs, used_seed = _pairs(
         comps, mode, samples, seed, limit,
@@ -238,10 +239,7 @@ def verify_left_ideal(group, n: int, limit: int | None = DEFAULT_LIMIT) -> dict:
     """Chamber identities: products with chambers stay chambers and agree
     with the sorting-permutation route; the sigma action on a chamber matches
     right multiplication by the X vector; acting on the identity gives X."""
-    wreath_count = count_wreath(n, group.order)
-    for count in colored_partition_estimates(n, group.order):
-        check_limit(count * wreath_count, limit,
-                    f"left-ideal sweep at n={n}, |G|={group.order}")
+    _check_sweep("left-ideal", group, n, limit)
     failures = []
     checked = 0
     elements = list(enumerate_wreath(group, n, limit))
@@ -286,6 +284,7 @@ def verify_left_ideal(group, n: int, limit: int | None = DEFAULT_LIMIT) -> dict:
 def verify_counts(group, n: int, limit: int | None = DEFAULT_LIMIT) -> dict:
     """Enumerated cardinalities against the closed-form counts, plus the
     partition of the wreath product by descent fibers."""
+    _check_sweep("counts", group, n, limit)
     partition_count = sum(1 for _ in enumerate_colored_partitions(group, n, limit))
     comp_count = sum(1 for _ in enumerate_colored_compositions(group, n, limit))
     wreath_count = sum(1 for _ in enumerate_wreath(group, n, limit))
@@ -311,15 +310,29 @@ def verify_counts(group, n: int, limit: int | None = DEFAULT_LIMIT) -> dict:
                      wreath_count=wreath_count)
 
 
-# target -> (sweep, whether it takes mode, samples and seed); the order is
-# the one the CLI shows
+def _partition_pairs(n: int, order: int):
+    return (count * count for count in colored_partition_estimates(n, order))
+
+
+def _x_terms(n: int, order: int):
+    """|G wr S_n|, then every X_b's terms once per composition refining b:
+    the X_b of length k hold k! S(n, k) |G|^k terms, and each such b has
+    2^(n - k) refinements."""
+    yield next(colored_partition_estimates(n, order))
+    yield sum(count_wreath(k, order) * stirling2(n, k) * 2 ** (n - k) for k in range(1, n + 1))
+
+
+# target -> (sweep, whether it takes mode, samples and seed, its exhaustive
+# work from n and |G| as estimates cheapest first, each a lower bound but
+# the last); the order is the one the CLI shows
 _SWEEPS = {
-    "identities": (verify_identities, True),
-    "prop1": (verify_prop1, True),
-    "mobius": (verify_mobius, False),
-    "theorem1": (verify_antihomomorphism, True),
-    "left-ideal": (verify_left_ideal, False),
-    "counts": (verify_counts, False),
+    "identities": (verify_identities, True, _partition_pairs),
+    "prop1": (verify_prop1, True, _partition_pairs),
+    "mobius": (verify_mobius, False, _x_terms),
+    "theorem1": (verify_antihomomorphism, True, _partition_pairs),
+    "left-ideal": (verify_left_ideal, False, lambda n, order: (
+        count * count_wreath(n, order) for count in colored_partition_estimates(n, order))),
+    "counts": (verify_counts, False, colored_partition_estimates),
 }
 VERIFY_TARGETS = tuple(_SWEEPS)
 
@@ -331,7 +344,7 @@ def run_verification(target: str, group, n: int, mode: str = "exhaustive",
         raise FormatError(
             f"unknown verification target {target!r}; expected one of {', '.join(VERIFY_TARGETS)}"
         )
-    sweep, sampled = _SWEEPS[target]
+    sweep, sampled, _ = _SWEEPS[target]
     if sampled:
         return sweep(group, n, mode=mode, samples=samples, seed=seed, limit=limit)
     return sweep(group, n, limit=limit)

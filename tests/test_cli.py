@@ -353,7 +353,7 @@ def test_huge_n_is_decided_by_the_estimate_alone(capsys, argv, code):
         assert "or more items" in err
 
 
-@pytest.mark.parametrize("target", ["counts", "identities", "left-ideal"])
+@pytest.mark.parametrize("target", ["counts", "identities", "left-ideal", "mobius"])
 def test_partition_guard_refuses_on_its_cheap_bound(capsys, target):
     # the exact count of ordered partitions of 2000 points takes seconds;
     # its k = n term, 2000!, is already over the limit
@@ -659,6 +659,47 @@ def test_exhaustive_prop1_counts_every_product(capsys):
     assert (code, out) == (3, "")
     assert err.startswith("error: exhaustive prop1 sweep at n=3, |G|=2 would produce "
                           "an estimated 2304 items")
+
+
+@pytest.mark.parametrize("target,estimate", [
+    # |G wr S_3| = 3! * 2^3 = 48, the cheap first term of every target
+    ("identities", 2304), ("prop1", 2304), ("mobius", 48), ("theorem1", 2304),
+    ("left-ideal", 2304), ("counts", 48),
+])
+def test_every_target_shares_one_guard(capsys, target, estimate):
+    code, out, err = run(capsys, "verify", target, "--group", "cyclic:2", "--n", "3",
+                         "--limit", "10")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: exhaustive {target} sweep at n=3, |G|=2 would produce "
+                          f"an estimated {estimate} items, over the limit of 10;")
+
+
+def test_mobius_is_refused_on_the_x_terms_it_expands(capsys):
+    # 10! = 3628800 wreath elements fit under the default limit, but the
+    # sweep would expand sum_k k! S(10, k) 2^(10 - k) = 880405504 X terms
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", "mobius", "--group", "cyclic:1", "--n", "10")
+    elapsed = time.perf_counter() - started
+    assert (code, out) == (3, "")
+    assert err.startswith("error: exhaustive mobius sweep at n=10, |G|=1 would produce "
+                          "an estimated 880405504 items")
+    assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("spec,n,estimate", [
+    # the sum over computed rows of min(|F_a|, |F_b|)
+    ("cyclic:1", 10, 16339875651), ("cyclic:2", 6, 19093290),
+    # n! |G|^(2n-1), the pairs of singleton parts
+    ("cyclic:1", 12, 479001600), ("cyclic:2", 7, 41287680),
+])
+def test_structure_constants_counts_the_skeletons_it_colors(capsys, spec, n, estimate):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "structure-constants", "--group", spec, "--n", str(n))
+    elapsed = time.perf_counter() - started
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: structure constant table at n={n}, |G|={spec[-1]} would "
+                          f"produce an estimated {estimate} items")
+    assert elapsed < 1
 
 
 def test_sampled_theorem1_builds_only_the_x_vectors_it_uses(capsys):

@@ -199,6 +199,14 @@ def test_composition_count_closed_form_matches_sum():
             )
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_composition_count_is_zero_below_one(n, order):
+    # the closed form would give a fraction here
+    assert count_colored_compositions(n, order) == 0
+    assert type(count_colored_compositions(n, order)) is int
+
+
 def test_partition_count_from_one_row_matches_sum():
     for n in range(0, 60):
         for order in range(0, 8):

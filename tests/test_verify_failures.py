@@ -12,7 +12,7 @@ import pytest
 import gwreath
 from gwreath.groups import FiniteGroup, cyclic
 from gwreath.linear import LinearCombination
-from gwreath.verify import run_verification
+from gwreath.verify import VERIFY_TARGETS, run_verification
 
 
 def plant(monkeypatch, name, make_fake):
@@ -205,3 +205,10 @@ def test_sampled_sweep_rejects_zero_samples(target):
 def test_pair_sweeps_refuse_a_negative_n(target):
     with pytest.raises(ValueError, match="n must be positive, got -1"):
         run_verification(target, cyclic(2), -1)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("target", VERIFY_TARGETS)
+def test_every_target_refuses_a_non_positive_n(target, n):
+    with pytest.raises(ValueError, match=f"n must be positive, got {n}$"):
+        run_verification(target, cyclic(2), n)
